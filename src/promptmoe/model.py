@@ -8,6 +8,12 @@ positions k.. and attend to the prompt like ordinary context. Forward passes alw
 autodiff graph; when the model is frozen its own tensors enter as constants
 so gradients stop at the prompt boundary.
 
+Greedy decoding runs through the same trunk with a ``KVCache``: one prefill
+forward over the right-padded [prompt | input] stores every layer's keys and
+values, then each new token costs one single-position forward that attends
+over the stored slots. Cached keys and values enter the graph as constants,
+so a cached forward is for inference only.
+
 Tokenization is byte-level UTF-8: ids 0..255 are raw bytes, 256 is PAD and
 257 EOS. The stock model config keeps vocab_size=256 (bytes only); configs
 that train on padded/terminated batches use 258.
@@ -87,6 +93,8 @@ class ToyLM:
         self.params = params
         self.frozen = frozen
         self._node_cache = {}
+        if cfg.rotary:
+            self._cos, self._sin = _rope_tables(cfg.max_seq, cfg.hidden // cfg.heads)
 
     def freeze(self):
         self.frozen = True
@@ -151,33 +159,10 @@ class ToyLM:
             )
         return self.params["emb"][ids]
 
-    _ROPE_CACHE = {}
-
-    @classmethod
-    def _rope_tables(cls, total, dh):
-        """(cos, sin, rotate) constants for rotary attention.
-
-        cos/sin are (total, dh); rotate is the (dh, dh) matrix sending
-        [x1, x2] to [-x2, x1] over the half-split of the head dim.
-        """
-        key = (total, dh)
-        hit = cls._ROPE_CACHE.get(key)
-        if hit is None:
-            d2 = dh // 2
-            inv_freq = 10000.0 ** (-np.arange(d2) / d2)
-            ang = np.arange(total)[:, None] * inv_freq[None, :]
-            cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=1)
-            sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=1)
-            rot = np.zeros((dh, dh))
-            rot[np.arange(d2) + d2, np.arange(d2)] = -1.0
-            rot[np.arange(d2), np.arange(d2) + d2] = 1.0
-            hit = cls._ROPE_CACHE[key] = (cos, sin, rot)
-        return hit
-
-    def _rope(self, t, total, dh):
-        cos, sin, rot = self._rope_tables(total, dh)
-        half = ad.matmul(t, ad.const(rot))
-        return ad.add(ad.mul(t, ad.const(cos)), ad.mul(half, ad.const(sin)))
+    def _rope(self, t, pos):
+        """Rotate q or k by the angles of positions ``pos`` (broadcast against t's rows)."""
+        cos, sin = ad.const(self._cos[pos]), ad.const(self._sin[pos])
+        return ad.add(ad.mul(t, cos), ad.mul(ad.rotate_half(t), sin))
 
     def _attention_allow(self, attn_mask, k):
         b, s = attn_mask.shape
@@ -186,11 +171,15 @@ class ToyLM:
         causal = np.tril(np.ones((total, total)))
         return (causal[None, None, :, :] * key_ok[:, None, None, :]).astype(np.float64)
 
-    def forward(self, prompt, input_embeds, attn_mask):
+    def forward(self, prompt, input_embeds, attn_mask, cache=None):
         """Logits over the concatenated [prompt | input] sequence.
 
         prompt: (b, k, h) Node or array, or None for k=0. input_embeds:
         raw (b, s, h). Returns a (b, k+s, vocab) Node.
+
+        With a ``KVCache`` the new rows continue each example's sequence at
+        its own next position: they attend to every valid slot the cache
+        holds and are stored in it. attn_mask must then be right-padded.
         """
         embeds = np.asarray(input_embeds, dtype=np.float64)
         b, s, h = embeds.shape
@@ -211,7 +200,7 @@ class ToyLM:
             x = ad.concat([ad.as_node(prompt), ad.const(embeds)], axis=1)
         else:
             x = ad.const(embeds)
-        return self._trunk(x, attn_mask, k)
+        return self._trunk(x, attn_mask, k, cache)
 
     def forward_tokens(self, token_ids, attn_mask):
         """Logits with a differentiable embedding lookup; the pretraining path."""
@@ -221,14 +210,19 @@ class ToyLM:
         x = ad.embedding(self._p("emb"), ids)
         return self._trunk(x, np.asarray(attn_mask, dtype=np.float64), 0)
 
-    def _trunk(self, x, attn_mask, k):
+    def _trunk(self, x, attn_mask, k, cache=None):
         b, total = x.value.shape[0], x.value.shape[1]
         h = self.cfg.hidden
-        if total > self.cfg.max_seq:
-            raise ShapeError(f"sequence length {total} exceeds max_seq {self.cfg.max_seq}")
+        if cache is None:
+            if total > self.cfg.max_seq:
+                raise ShapeError(f"sequence length {total} exceeds max_seq {self.cfg.max_seq}")
+            pos = np.arange(total)
+            allow = self._attention_allow(attn_mask, k)
+        else:
+            pos, allow = cache.claim(np.concatenate([np.ones((b, k)), attn_mask], axis=1))
         if not self.cfg.rotary:
-            x = ad.add(x, self._pos_slice(total))
-        allow = self._attention_allow(attn_mask, k)
+            x = ad.add(x, self._pos_rows(pos))
+        rope_pos = pos if cache is None else pos[:, None]  # broadcast over heads
         heads, dh = self.cfg.heads, self.cfg.hidden // self.cfg.heads
         for i in range(self.cfg.layers):
             ln1 = ad.layernorm(x, self._p(f"l{i}.ln1.g"), self._p(f"l{i}.ln1.b"))
@@ -239,8 +233,10 @@ class ToyLM:
             q = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wq")), self._p(f"l{i}.bq")))
             key = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wk")), self._p(f"l{i}.bk")))
             if self.cfg.rotary:
-                q, key = self._rope(q, total, dh), self._rope(key, total, dh)
+                q, key = self._rope(q, rope_pos), self._rope(key, rope_pos)
             val = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wv")), self._p(f"l{i}.bv")))
+            if cache is not None:
+                key, val = (ad.const(a) for a in cache.write(i, pos, key.value, val.value))
             scores = ad.scale(ad.matmul(q, ad.transpose(key, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
             probs = ad.masked_softmax(scores, allow)
             ctx = ad.reshape(ad.transpose(ad.matmul(probs, val), (0, 2, 1, 3)), (b, total, h))
@@ -254,12 +250,12 @@ class ToyLM:
         emb = self._p("emb")
         return ad.matmul(x, ad.transpose(emb, (1, 0)))
 
-    def _pos_slice(self, total):
+    def _pos_rows(self, pos):
+        """Learned position-table rows for an integer array of positions."""
         if self.frozen:
-            return ad.const(self.params["pos"][:total])
-        # keep the full table as the leaf so its gradient has table shape
-        sel = np.zeros((total, self.params["pos"].shape[0]))
-        sel[np.arange(total), np.arange(total)] = 1.0
+            return ad.const(self.params["pos"][pos])
+        # a one-hot matmul keeps the full table as the leaf so its gradient has table shape
+        sel = (pos[..., None] == np.arange(self.params["pos"].shape[0])).astype(np.float64)
         return ad.matmul(ad.const(sel), self._p("pos"))
 
     def loss_on_batch(self, prompt, batch):
@@ -295,8 +291,13 @@ class ToyLM:
         """Greedy continuation per example; stops at eos_id or max_new.
 
         prompt is raw (b, k, h) or None and is kept fixed for the whole
-        generation (routing happens once, upstream). Returns a list of id
-        lists, EOS excluded.
+        generation (routing happens once, upstream); token_ids and attn_mask
+        are right-padded. One prefill forward over [prompt | input] fills a
+        KV cache and gives each example's first token from its logit at
+        k + len_e - 1. Every further token is one single-position forward in
+        which example e writes at its own next slot, k + len_e onwards, so
+        ragged rows are never re-padded. Returns a list of id lists, EOS
+        excluded.
         """
         if max_new < 1:
             raise ConfigError(f"max_new must be >= 1, got {max_new}")
@@ -310,30 +311,77 @@ class ToyLM:
                 f"{self.cfg.max_seq}"
             )
         lengths = attn.sum(axis=1).astype(int)
-        buf = np.full((b, s + max_new), PAD_ID if self.cfg.vocab_size > PAD_ID else 0, dtype=np.int64)
-        buf[:, :s] = ids
-        mask = np.zeros((b, s + max_new))
-        mask[:, :s] = attn
+        # the last generated token is never fed back, so it needs no slot
+        cache = KVCache(self.cfg, b, k + s + max_new - 1)
+        logits = self.forward(prompt, self.embed(ids), attn, cache=cache).value
+        nxt = np.argmax(logits[np.arange(b), k + lengths - 1], axis=-1)
         done = np.zeros(b, dtype=bool)
         out = [[] for _ in range(b)]
-        for _ in range(max_new):
-            width = int(lengths.max())
-            logits = self.forward(
-                prompt if prompt is None else np.asarray(prompt),
-                self.embed(buf[:, :width]),
-                mask[:, :width],
-            ).value
-            nxt = np.argmax(logits[np.arange(b), k + lengths - 1], axis=-1)
-            for e in range(b):
-                if done[e]:
-                    continue
-                if nxt[e] == eos_id:
-                    done[e] = True
-                    continue
+        for step in range(max_new):
+            done |= nxt == eos_id
+            for e in np.flatnonzero(~done):
                 out[e].append(int(nxt[e]))
-                buf[e, lengths[e]] = nxt[e]
-                mask[e, lengths[e]] = 1.0
-                lengths[e] += 1
-            if done.all():
+            if done.all() or step == max_new - 1:
                 break
+            # finished rows keep stepping on their last token; their output is final
+            logits = self.forward(None, self.embed(nxt[:, None]), np.ones((b, 1)), cache=cache).value
+            nxt = np.argmax(logits[:, 0], axis=-1)
         return out
+
+
+class KVCache:
+    """Keys and values of every position a cached ``ToyLM.forward`` has run.
+
+    Per layer, ``keys`` and ``values`` are (b, heads, capacity, dh) arrays
+    indexed by absolute position. ``valid`` (b, capacity) marks the slots
+    attention may read (0 on padding and on slots not yet written), and
+    ``next_pos`` (b,) is the position each example's next new row takes.
+    """
+
+    def __init__(self, cfg, batch, capacity):
+        if capacity > cfg.max_seq:
+            raise ShapeError(f"cache capacity {capacity} exceeds max_seq {cfg.max_seq}")
+        shape = (batch, cfg.heads, capacity, cfg.hidden // cfg.heads)
+        self.keys = [np.zeros(shape) for _ in range(cfg.layers)]
+        self.values = [np.zeros(shape) for _ in range(cfg.layers)]
+        self.valid = np.zeros((batch, capacity))
+        self.next_pos = np.zeros(batch, dtype=np.int64)
+
+    def claim(self, key_ok):
+        """Give n new rows per example their positions; returns (pos, allow).
+
+        key_ok (b, n) is 1 on real rows and 0 on right padding. pos (b, n)
+        holds absolute positions; allow (b, 1, n, width) lets each row see
+        the valid slots at or before its own position.
+        """
+        b, n = key_ok.shape
+        if b != self.valid.shape[0]:
+            raise ShapeError(f"batch of {b} rows for a cache of {self.valid.shape[0]}")
+        if np.any(np.diff(key_ok, axis=1) > 0):
+            raise DataError("a cached forward needs right-padded attention masks")
+        pos = self.next_pos[:, None] + np.arange(n)
+        width = int(pos.max()) + 1
+        if width > self.valid.shape[1]:
+            raise ShapeError(f"position {width - 1} is past the cache capacity {self.valid.shape[1]}")
+        self.valid[np.arange(b)[:, None], pos] = key_ok
+        self.next_pos = self.next_pos + key_ok.sum(axis=1).astype(np.int64)
+        causal = np.arange(width) <= pos[:, :, None]
+        return pos, (causal * self.valid[:, None, :width])[:, None]
+
+    def write(self, layer, pos, key, val):
+        """Store (b, heads, n, dh) keys and values at pos; returns the slots up to pos.max()."""
+        rows = np.arange(pos.shape[0])[:, None]
+        self.keys[layer][rows, :, pos] = key.transpose(0, 2, 1, 3)
+        self.values[layer][rows, :, pos] = val.transpose(0, 2, 1, 3)
+        width = int(pos.max()) + 1
+        return self.keys[layer][:, :, :width], self.values[layer][:, :, :width]
+
+
+def _rope_tables(max_seq, dh):
+    """(cos, sin), each (max_seq, dh), for rotary attention over the halves of the head dim."""
+    d2 = dh // 2
+    inv_freq = 10000.0 ** (-np.arange(d2) / d2)
+    ang = np.arange(max_seq)[:, None] * inv_freq[None, :]
+    cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=1)
+    sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=1)
+    return cos, sin

@@ -90,6 +90,26 @@ def test_gelu_gradcheck():
     assert fd(lambda v: proj(ad.gelu(ad.leaf(v["x"], "x"))), p) <= TOL
 
 
+def test_rotate_half_matches_rotation_matrix():
+    # the rotary q/k rotation as the (dh, dh) matmul it replaced
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, 3, 5, 8))
+    x[0, 0, 0] = 0.0
+    d2 = x.shape[-1] // 2
+    rot = np.zeros((2 * d2, 2 * d2))
+    rot[np.arange(d2) + d2, np.arange(d2)] = -1.0
+    rot[np.arange(d2), np.arange(d2) + d2] = 1.0
+    assert np.array_equal(ad.rotate_half(x).value, x @ rot)
+    with pytest.raises(ShapeError):
+        ad.rotate_half(np.zeros((2, 3)))
+
+
+def test_rotate_half_gradcheck():
+    rng = np.random.default_rng(13)
+    p = {"x": rng.normal(size=(2, 3, 6))}
+    assert fd(lambda v: proj(ad.rotate_half(ad.leaf(v["x"], "x"))), p) <= TOL
+
+
 def test_mean_rows_gradcheck():
     rng = np.random.default_rng(8)
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])

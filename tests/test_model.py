@@ -306,6 +306,121 @@ def test_pretraining_path_gradcheck_on_lm_params():
     assert worst <= 1e-5
 
 
+def full_prefix_generate(lm, prompt, token_ids, attn_mask, max_new, eos_id=m.EOS_ID):
+    """Greedy decode that re-runs the whole [prompt | input | generated] prefix per token.
+
+    The reference for ToyLM.generate's KV cache. Returns the token lists and,
+    per step, {example: logits at its last position} for the examples still
+    running.
+    """
+    ids = np.asarray(token_ids, dtype=np.int64)
+    attn = np.asarray(attn_mask, dtype=np.float64)
+    b, s = ids.shape
+    k = 0 if prompt is None else prompt.shape[1]
+    lengths = attn.sum(axis=1).astype(int)
+    buf = np.full((b, s + max_new), m.PAD_ID, dtype=np.int64)
+    buf[:, :s] = ids
+    mask = np.zeros((b, s + max_new))
+    mask[:, :s] = attn
+    done = np.zeros(b, dtype=bool)
+    out = [[] for _ in range(b)]
+    steps = []
+    for _ in range(max_new):
+        width = int(lengths.max())
+        logits = lm.forward(prompt, lm.embed(buf[:, :width]), mask[:, :width]).value
+        last = logits[np.arange(b), k + lengths - 1]
+        steps.append({e: last[e] for e in range(b) if not done[e]})
+        nxt = np.argmax(last, axis=-1)
+        for e in range(b):
+            if done[e]:
+                continue
+            if nxt[e] == eos_id:
+                done[e] = True
+                continue
+            out[e].append(int(nxt[e]))
+            buf[e, lengths[e]] = nxt[e]
+            mask[e, lengths[e]] = 1.0
+            lengths[e] += 1
+        if done.all():
+            break
+    return out, steps
+
+
+def traced_generate(lm, prompt, ids, attn, max_new, eos_id=m.EOS_ID):
+    """lm.generate plus the logits of every forward it ran."""
+    calls = []
+    forward = lm.forward
+
+    def spy(*args, **kwargs):
+        node = forward(*args, **kwargs)
+        calls.append(node.value)
+        return node
+
+    lm.forward = spy
+    try:
+        out = lm.generate(prompt, ids, attn, max_new, eos_id=eos_id)
+    finally:
+        del lm.forward
+    return out, calls
+
+
+RAGGED_IDS = np.array(
+    [[65, 66, 67, 68, 69], [70, 71, 256, 256, 256], [80, 81, 82, 256, 256], [90, 256, 256, 256, 256]]
+)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("max_new", [1, 7])
+@pytest.mark.parametrize("first_eos", [False, True])
+def test_cached_generate_matches_full_prefix_oracle(k, max_new, first_eos):
+    lm = make_lm(hidden=32, heads=4, seed=5)
+    ids = RAGGED_IDS
+    attn = (ids != m.PAD_ID).astype(float)
+    lengths = attn.sum(axis=1).astype(int)
+    prompt = np.random.default_rng(2).normal(size=(len(ids), k, lm.cfg.hidden)) if k else None
+    eos = m.EOS_ID
+    if first_eos:
+        # make example 0's first greedy token the stop token while the others run on
+        first = [seq[0] for seq in full_prefix_generate(lm, prompt, ids, attn, 1, eos_id=-1)[0]]
+        eos = first[0]
+        assert eos not in first[1:]
+    want, steps = full_prefix_generate(lm, prompt, ids, attn, max_new, eos_id=eos)
+    got, calls = traced_generate(lm, prompt, ids, attn, max_new, eos_id=eos)
+    assert got == want
+    if first_eos:
+        assert got[0] == [] and all(got[1:])
+    assert len(calls) == len(steps)
+    # the prefill matches an uncached forward at every real position
+    full = lm.forward(prompt, lm.embed(ids), attn).value
+    for e, n in enumerate(lengths):
+        np.testing.assert_allclose(calls[0][e, : k + n], full[e, : k + n], rtol=0, atol=1e-12)
+    for j, running in enumerate(steps):
+        for e, expect in running.items():
+            cached = calls[0][e, k + lengths[e] - 1] if j == 0 else calls[j][e, 0]
+            np.testing.assert_allclose(cached, expect, rtol=0, atol=1e-12)
+
+
+def test_cached_generate_learned_positions_match_oracle():
+    lm = make_lm(rotary=False, seed=4)
+    attn = (RAGGED_IDS != m.PAD_ID).astype(float)
+    want, _ = full_prefix_generate(lm, None, RAGGED_IDS, attn, 5)
+    assert lm.generate(None, RAGGED_IDS, attn, 5) == want
+
+
+def test_kv_cache_rejects_left_padding_and_overflow():
+    lm = make_lm()
+    ids = np.array([[256, 65, 66]])
+    cache = m.KVCache(lm.cfg, 1, 4)
+    with pytest.raises(DataError, match="right-padded"):
+        lm.forward(None, lm.embed(ids), np.array([[0.0, 1.0, 1.0]]), cache=cache)
+    lm.forward(None, lm.embed(ids), np.ones((1, 3)), cache=cache)
+    lm.forward(None, lm.embed(ids[:, :1]), np.ones((1, 1)), cache=cache)
+    with pytest.raises(ShapeError, match="capacity"):
+        lm.forward(None, lm.embed(ids[:, :1]), np.ones((1, 1)), cache=cache)
+    with pytest.raises(ShapeError, match="max_seq"):
+        m.KVCache(lm.cfg, 1, lm.cfg.max_seq + 1)
+
+
 def test_generate_deterministic_and_bounded():
     lm = make_lm()
     ids = np.array([[65, 66, 67], [70, 71, 256]])
