@@ -5,6 +5,13 @@ holding its value, its parent nodes, and a closure that maps the output
 adjoint to per-parent adjoints. ``backward`` walks the graph once in
 reverse topological order and returns gradients for every named leaf.
 
+Only *active* nodes take part (activity analysis, Griewank & Walther,
+*Evaluating Derivatives*, 2008): a node is active if it is a named leaf or
+has an active parent. An op with no active parent records no parents and
+no backward rule, so a forward over constants only builds no graph, and a
+backward rule computes adjoints for its active parents only (``None`` for
+the others).
+
 All values are float64 numpy arrays. Ops accept raw arrays anywhere a Node
 is expected and wrap them as unnamed constants.
 """
@@ -22,17 +29,24 @@ class Node:
 
     def __init__(self, value, parents=(), vjp=None, name=None):
         self.value = np.asarray(value, dtype=np.float64)
+        if not any(p.active for p in parents):
+            parents, vjp = (), None  # a function of constants is a constant
         self.parents = parents
         self.vjp = vjp
         self.name = name
         self.grad = None
 
     @property
+    def active(self):
+        """True if some named leaf's gradient can flow through this node."""
+        return self.name is not None or bool(self.parents)
+
+    @property
     def shape(self):
         return self.value.shape
 
     def __repr__(self):
-        tag = self.name or ("leaf" if not self.parents else "op")
+        tag = self.name or ("op" if self.parents else "const")
         return f"Node({tag}, shape={self.value.shape})"
 
 
@@ -42,7 +56,7 @@ def leaf(value, name):
 
 
 def const(value):
-    """An unnamed leaf; gradients stop here silently."""
+    """An unnamed, inactive leaf; gradients stop here. ``const(x.value)`` stops x's gradient."""
     return Node(value)
 
 
@@ -65,7 +79,10 @@ def add(a, b):
     out = a.value + b.value
 
     def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+        return (
+            _unbroadcast(g, a.value.shape) if a.active else None,
+            _unbroadcast(g, b.value.shape) if b.active else None,
+        )
 
     return Node(out, (a, b), vjp)
 
@@ -74,7 +91,10 @@ def sub(a, b):
     a, b = as_node(a), as_node(b)
 
     def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
+        return (
+            _unbroadcast(g, a.value.shape) if a.active else None,
+            _unbroadcast(-g, b.value.shape) if b.active else None,
+        )
 
     return Node(a.value - b.value, (a, b), vjp)
 
@@ -105,8 +125,8 @@ def mul(a, b):
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
+            _unbroadcast(g * b.value, a.value.shape) if a.active else None,
+            _unbroadcast(g * a.value, b.value.shape) if b.active else None,
         )
 
     return Node(a.value * b.value, (a, b), vjp)
@@ -123,9 +143,9 @@ def matmul(a, b):
     out = a.value @ b.value
 
     def vjp(g):
-        da = g @ b.value.swapaxes(-1, -2)
-        db = a.value.swapaxes(-1, -2) @ g
-        return _unbroadcast(da, a.value.shape), _unbroadcast(db, b.value.shape)
+        da = _unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape) if a.active else None
+        db = _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape) if b.active else None
+        return da, db
 
     return Node(out, (a, b), vjp)
 
@@ -148,7 +168,8 @@ def concat(nodes, axis):
     splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        parts = np.split(g, splits, axis=axis)
+        return tuple(part if n.active else None for n, part in zip(nodes, parts))
 
     return Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), vjp)
 
@@ -209,18 +230,18 @@ def layernorm(x, gain, bias, eps=1e-5):
     out = xhat * gain.value + bias.value
 
     def vjp(g):
-        h = x.value.shape[-1]
-        gdot = g * gain.value
-        dx = (
-            inv
-            * (
+        dx = dgain = dbias = None
+        if x.active:
+            gdot = g * gain.value
+            dx = inv * (
                 gdot
                 - gdot.mean(axis=-1, keepdims=True)
                 - xhat * (gdot * xhat).mean(axis=-1, keepdims=True)
             )
-        )
-        dgain = _unbroadcast(g * xhat, gain.value.shape)
-        dbias = _unbroadcast(g, bias.value.shape)
+        if gain.active:
+            dgain = _unbroadcast(g * xhat, gain.value.shape)
+        if bias.active:
+            dbias = _unbroadcast(g, bias.value.shape)
         return dx, dgain, dbias
 
     return Node(out, (x, gain, bias), vjp)
@@ -302,12 +323,6 @@ def masked_nll(logits, targets, loss_mask):
     return Node(np.float64(loss), (logits,), vjp), int(mask.sum())
 
 
-def stop_gradient(x):
-    """Forward pass-through whose backward contribution is exactly zero."""
-    x = as_node(x)
-    return Node(x.value, (x,), lambda g: (np.zeros_like(x.value),))
-
-
 def expert_mix(weights, stack):
     """Per-example weighted sum of a parameter stack.
 
@@ -326,8 +341,8 @@ def expert_mix(weights, stack):
     out = np.einsum("bn,ntr->btr", weights.value, stack.value)
 
     def vjp(g):
-        dw = np.einsum("btr,ntr->bn", g, stack.value)
-        ds = np.einsum("bn,btr->ntr", weights.value, g)
+        dw = np.einsum("btr,ntr->bn", g, stack.value) if weights.active else None
+        ds = np.einsum("bn,btr->ntr", weights.value, g) if stack.active else None
         return dw, ds
 
     return Node(out, (weights, stack), vjp)
@@ -347,7 +362,7 @@ def _toposort(root):
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.active and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -355,8 +370,10 @@ def _toposort(root):
 def backward(loss):
     """Accumulate adjoints from a scalar loss; returns {leaf name: gradient}.
 
-    Every reachable node gets its adjoint in ``.grad``; unreachable
-    parameters simply do not appear in the result (treat as zero).
+    Every active node reachable from the loss gets its adjoint in ``.grad``;
+    constants are never visited and keep ``.grad`` None. Unreachable
+    parameters simply do not appear in the result (treat as zero). A
+    gradient may share memory with another node's, so treat it as read-only.
     """
     if not isinstance(loss, Node):
         raise GraphError("backward needs a Node produced by a recorded forward pass")
@@ -380,15 +397,18 @@ def backward(loss):
                     f"{len(node.parents)} parents"
                 )
             for parent, part in zip(node.parents, parts):
+                if not parent.active:
+                    continue
+                if part is None:
+                    raise GraphError("backward rule gave no adjoint for an active parent")
                 if part.shape != parent.value.shape:
                     raise GraphError(
                         f"adjoint shape {part.shape} does not match value shape "
                         f"{parent.value.shape}"
                     )
-                if parent.grad is None:
-                    parent.grad = part.copy()
-                else:
-                    parent.grad += part
+                # a first adjoint may be a view of the child's grad (transpose,
+                # reshape, concat), so it is kept as is and never written into
+                parent.grad = part if parent.grad is None else parent.grad + part
         if node.name is not None:
             if node.name in grads:
                 raise GraphError(f"two distinct leaves share the name {node.name!r}")
@@ -396,13 +416,24 @@ def backward(loss):
     return grads
 
 
+# finite_diff_check's central differences use steps eps * 4**j, j < _FD_STEPS
+_FD_STEPS = 4
+
+
 def finite_diff_check(f, params, eps=1e-6, min_coords=100, seed=0):
-    """Max relative error between reverse-mode and central-difference grads.
+    """Max relative error between reverse-mode and finite-difference grads.
 
     ``f`` maps a dict of raw parameter arrays to a scalar loss Node whose
     graph names its leaves by the dict keys. At least ``min_coords``
     coordinates (or all of them, if fewer exist) are sampled across the
     parameter set.
+
+    Each coordinate's derivative is a Richardson-extrapolated central
+    difference: central differences D(h) at h = eps * 4**j cancel their
+    h**2 error pairwise as (16 D(h) - D(4h)) / 15, and of those estimates
+    the one that agrees best with its larger-step neighbour is kept. Small
+    steps lose digits to roundoff and large ones to truncation, so the
+    best-agreeing pair marks the steps where neither dominates.
     """
     base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     loss = f(base)
@@ -423,13 +454,22 @@ def finite_diff_check(f, params, eps=1e-6, min_coords=100, seed=0):
         g_ad = grads.get(name)
         g_ad = 0.0 if g_ad is None else g_ad.reshape(-1)[i]
         bumped = {k: v.copy() for k, v in base.items()}
-        bumped[name].reshape(-1)[i] += eps
-        up = f(bumped).value
-        bumped[name].reshape(-1)[i] -= 2 * eps
-        dn = f(bumped).value
-        if not (np.isfinite(up) and np.isfinite(dn)):
-            raise NumericalError("finite-difference probe produced a non-finite loss")
-        g_fd = (up - dn) / (2 * eps)
+        coord = bumped[name].reshape(-1)
+        x0 = coord[i]
+
+        def central(h):
+            coord[i] = x0 + h
+            up, hi = f(bumped).value, coord[i]
+            coord[i] = x0 - h
+            dn, lo = f(bumped).value, coord[i]
+            if not (np.isfinite(up) and np.isfinite(dn)):
+                raise NumericalError("finite-difference probe produced a non-finite loss")
+            return (up - dn) / (hi - lo)  # the step actually taken, after rounding
+
+        diffs = [central(eps * 4.0**j) for j in range(_FD_STEPS)]
+        rich = [(16.0 * d - d4) / 15.0 for d, d4 in zip(diffs, diffs[1:])]
+        j = min(range(len(rich) - 1), key=lambda j: abs(rich[j] - rich[j + 1]))
+        g_fd = rich[j + 1]
         rel = abs(g_ad - g_fd) / max(1e-12, abs(g_ad) + abs(g_fd))
         worst = max(worst, rel)
     return worst

@@ -4,15 +4,18 @@ Pre-LN transformer, rotary attention by default (a learned absolute
 position table remains available behind ``rotary=False``); the LM head is
 tied to the embedding table. The prompt is a per-example matrix of k soft
 embedding rows occupying positions 0..k-1; input tokens follow at
-positions k.. and attend to the prompt like ordinary context. Forward passes always record an
-autodiff graph; when the model is frozen its own tensors enter as constants
-so gradients stop at the prompt boundary.
+positions k.. and attend to the prompt like ordinary context. When the
+model is frozen its own tensors enter as autodiff constants, so a forward
+records a graph only from the prompt on, and records none at all when the
+prompt is a raw array or absent (eval, ``generate``): autodiff keeps a node's
+inputs only if a named leaf lies behind them.
 
 Greedy decoding runs through the same trunk with a ``KVCache``: one prefill
-forward over the right-padded [prompt | input] stores every layer's keys and
-values, then each new token costs one single-position forward that attends
-over the stored slots. Cached keys and values enter the graph as constants,
-so a cached forward is for inference only.
+over the right-padded [prompt | input] stores every layer's keys and values
+and applies the LM head only at each example's last real position, then each
+new token costs one single-position forward that attends over the stored
+slots. Cached keys and values enter the graph as constants, so a cached
+forward is for inference only.
 
 Tokenization is byte-level UTF-8: ids 0..255 are raw bytes, 256 is PAD and
 257 EOS. The stock model config keeps vocab_size=256 (bytes only); configs
@@ -181,6 +184,11 @@ class ToyLM:
         its own next position: they attend to every valid slot the cache
         holds and are stored in it. attn_mask must then be right-padded.
         """
+        x, attn_mask, k = self._inputs(prompt, input_embeds, attn_mask)
+        return self._head(self._trunk(x, attn_mask, k, cache))
+
+    def _inputs(self, prompt, input_embeds, attn_mask):
+        """Validate ``forward``'s arguments; returns the [prompt | input] node, mask and k."""
         embeds = np.asarray(input_embeds, dtype=np.float64)
         b, s, h = embeds.shape
         if h != self.cfg.hidden:
@@ -200,7 +208,7 @@ class ToyLM:
             x = ad.concat([ad.as_node(prompt), ad.const(embeds)], axis=1)
         else:
             x = ad.const(embeds)
-        return self._trunk(x, attn_mask, k, cache)
+        return x, attn_mask, k
 
     def forward_tokens(self, token_ids, attn_mask):
         """Logits with a differentiable embedding lookup; the pretraining path."""
@@ -208,9 +216,10 @@ class ToyLM:
         self.embed(ids)  # range validation only
         self._node_cache = {}
         x = ad.embedding(self._p("emb"), ids)
-        return self._trunk(x, np.asarray(attn_mask, dtype=np.float64), 0)
+        return self._head(self._trunk(x, np.asarray(attn_mask, dtype=np.float64), 0))
 
     def _trunk(self, x, attn_mask, k, cache=None):
+        """Hidden states after the final layernorm, (b, k+s, hidden)."""
         b, total = x.value.shape[0], x.value.shape[1]
         h = self.cfg.hidden
         if cache is None:
@@ -246,9 +255,11 @@ class ToyLM:
             inner = ad.gelu(ad.add(ad.matmul(ln2, self._p(f"l{i}.w1")), self._p(f"l{i}.b1")))
             mlp = ad.add(ad.matmul(inner, self._p(f"l{i}.w2")), self._p(f"l{i}.b2"))
             x = ad.add(x, mlp)
-        x = ad.layernorm(x, self._p("lnf.g"), self._p("lnf.b"))
-        emb = self._p("emb")
-        return ad.matmul(x, ad.transpose(emb, (1, 0)))
+        return ad.layernorm(x, self._p("lnf.g"), self._p("lnf.b"))
+
+    def _head(self, x):
+        """LM-head logits of hidden states x, tied to the embedding table."""
+        return ad.matmul(x, ad.transpose(self._p("emb"), (1, 0)))
 
     def _pos_rows(self, pos):
         """Learned position-table rows for an integer array of positions."""
@@ -292,9 +303,9 @@ class ToyLM:
 
         prompt is raw (b, k, h) or None and is kept fixed for the whole
         generation (routing happens once, upstream); token_ids and attn_mask
-        are right-padded. One prefill forward over [prompt | input] fills a
-        KV cache and gives each example's first token from its logit at
-        k + len_e - 1. Every further token is one single-position forward in
+        are right-padded. One prefill over [prompt | input] fills a KV cache
+        and heads only row k + len_e - 1 of each example, which gives its
+        first token. Every further token is one single-position forward in
         which example e writes at its own next slot, k + len_e onwards, so
         ragged rows are never re-padded. Returns a list of id lists, EOS
         excluded.
@@ -313,8 +324,10 @@ class ToyLM:
         lengths = attn.sum(axis=1).astype(int)
         # the last generated token is never fed back, so it needs no slot
         cache = KVCache(self.cfg, b, k + s + max_new - 1)
-        logits = self.forward(prompt, self.embed(ids), attn, cache=cache).value
-        nxt = np.argmax(logits[np.arange(b), k + lengths - 1], axis=-1)
+        x, attn, _ = self._inputs(prompt, self.embed(ids), attn)
+        hidden = self._trunk(x, attn, k, cache).value
+        logits = self._head(hidden[np.arange(b), k + lengths - 1][:, None]).value
+        nxt = np.argmax(logits[:, 0], axis=-1)
         done = np.zeros(b, dtype=bool)
         out = [[] for _ in range(b)]
         for step in range(max_new):

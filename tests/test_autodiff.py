@@ -179,11 +179,35 @@ def test_masked_nll_rejects_out_of_range_targets():
         ad.masked_nll(ad.const(np.zeros((1, 2, 4))), np.array([[0, 4]]), np.ones((1, 2)))
 
 
-def test_stop_gradient_blocks_exactly():
+def test_const_blocks_gradient_exactly():
     x = ad.leaf(np.array([1.0, 2.0]), "x")
-    y = ad.mul(ad.stop_gradient(x), x)  # d/dx should see only the second factor
+    y = ad.mul(ad.const(x.value), x)  # d/dx should see only the second factor
     grads = ad.backward(ad.sum_all(y))
     assert np.array_equal(grads["x"], [1.0, 2.0])
+
+
+def test_ops_on_constants_record_no_graph():
+    a, b = ad.const(np.ones((2, 3))), ad.const(np.ones((3, 2)))
+    out = ad.gelu(ad.add(ad.matmul(a, b), 1.0))
+    assert not out.active and out.parents == () and out.vjp is None
+    x = ad.leaf(np.ones((2, 3)), "x")
+    mixed = ad.matmul(x, b)
+    assert mixed.active and mixed.parents == (x, b)
+    ad.backward(ad.sum_all(mixed))
+    assert b.grad is None  # the constant operand gets no adjoint
+
+
+def test_fanout_into_view_adjoint_accumulates_out_of_place():
+    # reverse topological order reaches x through reshape first, so x's first
+    # adjoint is a view of r.grad; the mul contributions must not write into it
+    x0 = np.arange(6.0).reshape(2, 3)
+    w = np.arange(6.0).reshape(3, 2) + 1.0
+    x = ad.leaf(x0, "x")
+    r = ad.reshape(x, (3, 2))
+    loss = ad.add(ad.sum_all(ad.mul(r, ad.const(w))), ad.sum_all(ad.mul(x, x)))
+    grads = ad.backward(loss)
+    assert np.array_equal(grads["x"], w.reshape(2, 3) + 2.0 * x0)
+    assert np.array_equal(r.grad, w)
 
 
 def test_quadratic_gradient_is_identity():

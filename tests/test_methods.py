@@ -200,6 +200,28 @@ def test_checkpoint_roundtrip_all_kinds(lm, tmp_path):
         assert np.array_equal(a.value, b.value), kind
 
 
+def test_backward_leaves_no_adjoint_on_constants(lm):
+    provider = make_provider(lm, "PT_MOE", prompt_length=4, num_experts=2, rank=2)
+    batch = dt.build_batch(
+        [dt.Example("a b", "b", "copy_span", "g-0"), dt.Example("c d e f", "d e", "copy_span", "g-1")]
+    )
+    loss, count, _ = mt.loss_on_batch(
+        provider, lm, batch, rng=RngStream(5).child("noise"), training=True
+    )
+    grads = ad.backward(ad.scale(loss, 1.0 / count))
+    assert set(grads) == set(provider.param_arrays())
+    seen, todo, consts = set(), [loss], []
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.parents)
+            if not node.parents and node.name is None:
+                consts.append(node)
+    assert consts  # the frozen weights, masks and routing constants
+    assert all(node.grad is None for node in consts)
+
+
 # ---- gradient check across routing modes (the toy config) -------------------
 
 @pytest.mark.parametrize("selective,probationary", [(True, True), (False, True),

@@ -346,21 +346,24 @@ def full_prefix_generate(lm, prompt, token_ids, attn_mask, max_new, eos_id=m.EOS
     return out, steps
 
 
-def traced_generate(lm, prompt, ids, attn, max_new, eos_id=m.EOS_ID):
-    """lm.generate plus the logits of every forward it ran."""
+def traced_generate(lm, prompt, ids, attn, max_new, eos_id=m.EOS_ID, method="_head"):
+    """lm.generate plus the result of every call it made to ``lm.<method>``.
+
+    The default records the logits of every LM-head application.
+    """
     calls = []
-    forward = lm.forward
+    inner = getattr(lm, method)
 
     def spy(*args, **kwargs):
-        node = forward(*args, **kwargs)
-        calls.append(node.value)
+        node = inner(*args, **kwargs)
+        calls.append(node)
         return node
 
-    lm.forward = spy
+    setattr(lm, method, spy)
     try:
         out = lm.generate(prompt, ids, attn, max_new, eos_id=eos_id)
     finally:
-        del lm.forward
+        delattr(lm, method)
     return out, calls
 
 
@@ -389,15 +392,18 @@ def test_cached_generate_matches_full_prefix_oracle(k, max_new, first_eos):
     assert got == want
     if first_eos:
         assert got[0] == [] and all(got[1:])
+    # one LM-head row per example: the prefill's last real position, then each step
     assert len(calls) == len(steps)
-    # the prefill matches an uncached forward at every real position
+    assert all(c.shape == (len(ids), 1, lm.cfg.vocab_size) for c in calls)
+    # a cached prefill matches an uncached forward at every real position
     full = lm.forward(prompt, lm.embed(ids), attn).value
+    cache = m.KVCache(lm.cfg, len(ids), k + ids.shape[1])
+    prefill = lm.forward(prompt, lm.embed(ids), attn, cache=cache).value
     for e, n in enumerate(lengths):
-        np.testing.assert_allclose(calls[0][e, : k + n], full[e, : k + n], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prefill[e, : k + n], full[e, : k + n], rtol=0, atol=1e-12)
     for j, running in enumerate(steps):
         for e, expect in running.items():
-            cached = calls[0][e, k + lengths[e] - 1] if j == 0 else calls[j][e, 0]
-            np.testing.assert_allclose(cached, expect, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(calls[j].value[e, 0], expect, rtol=0, atol=1e-12)
 
 
 def test_cached_generate_learned_positions_match_oracle():
@@ -405,6 +411,32 @@ def test_cached_generate_learned_positions_match_oracle():
     attn = (RAGGED_IDS != m.PAD_ID).astype(float)
     want, _ = full_prefix_generate(lm, None, RAGGED_IDS, attn, 5)
     assert lm.generate(None, RAGGED_IDS, attn, 5) == want
+
+
+def test_inference_records_no_graph():
+    lm = make_lm(hidden=32, heads=4, seed=5)
+    attn = (RAGGED_IDS != m.PAD_ID).astype(float)
+    prompt = np.random.default_rng(2).normal(size=(len(RAGGED_IDS), 3, lm.cfg.hidden))
+    for p in (None, prompt):
+        assert lm.forward(p, lm.embed(RAGGED_IDS), attn).parents == ()
+    assert lm.forward_tokens(RAGGED_IDS, attn).parents == ()
+    _, steps = traced_generate(lm, prompt, RAGGED_IDS, attn, 6, eos_id=-1, method="forward")
+    assert len(steps) == 5 and all(node.parents == () for node in steps)
+
+
+def test_frozen_prompt_gradient_equals_unfrozen():
+    frozen = make_lm(hidden=16, layers=2, vocab=64)
+    unfrozen = m.ToyLM(frozen.cfg, frozen.params, frozen=False)
+    batch = simple_batch([[3, 9, 12, 7], [30, 2, 5, 1]], attn=[[1, 1, 1, 1], [1, 1, 1, 0]])
+    p0 = np.random.default_rng(1).normal(size=(2, 3, 16)) * 0.1
+
+    def grads(lm):
+        loss, count = lm.loss_on_batch(ad.leaf(p0, "prompt"), batch)
+        return ad.backward(ad.scale(loss, 1.0 / count))
+
+    g_frozen, g_unfrozen = grads(frozen), grads(unfrozen)
+    assert set(g_frozen) == {"prompt"} and "lm.l0.wq" in g_unfrozen
+    assert np.array_equal(g_frozen["prompt"], g_unfrozen["prompt"])
 
 
 def test_kv_cache_rejects_left_padding_and_overflow():
