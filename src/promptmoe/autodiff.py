@@ -267,21 +267,6 @@ def gelu(x):
     return Node(out, (x,), vjp)
 
 
-def mean_rows(x, mask):
-    """Masked mean over the second-to-last axis; mask is a constant."""
-    x = as_node(x)
-    mask = np.asarray(mask, dtype=np.float64)
-    if x.value.shape[:-1] != mask.shape:
-        raise ShapeError(f"mean_rows mask {mask.shape} does not match x {x.value.shape}")
-    den = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
-    out = (x.value * mask[..., None]).sum(axis=-2) / den
-
-    def vjp(g):
-        return ((g[..., None, :] * mask[..., None]) / den[..., None],)
-
-    return Node(out, (x,), vjp)
-
-
 def sum_all(x):
     x = as_node(x)
     shape = x.value.shape

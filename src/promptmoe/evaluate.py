@@ -20,10 +20,6 @@ from .model import decode
 MATH_TASKS = ("mod_add", "mod_mul")
 
 
-def primary_metric_name(task):
-    return "math_accuracy" if task in MATH_TASKS else "em"
-
-
 def score_example(pred, gold, task, raw=False):
     em = mx.exact_match(pred, gold, raw=raw)
     f1 = mx.f1(pred, gold, raw=raw)

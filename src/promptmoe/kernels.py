@@ -1,42 +1,20 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, in plain numpy.
 
-Every kernel exists twice: a plain numpy version and a numba ``@njit``
-version with identical semantics. Which one runs is decided once at import
-time: numba is used when it is importable, unless the environment variable
-``PROMPTMOE_NUMBA`` is set to ``0``/``false``/``off``. Both implementations
-stay importable (``numpy_impl`` / ``numba_impl``) so tests can cross-check
-them and ``benchmarks/bench_kernels.py`` can time them side by side.
-
-The two paths agree to floating-point rounding, not bitwise: reduction
-order differs. Reproducibility guarantees therefore hold per selected path.
+These are the loops the model, the SVD and the optimizer spend their
+numeric time in: cyclic Jacobi rotations, the masked attention softmax,
+the fused token NLL with its gradient, and the AdamW update. There is one
+implementation of each, so results are bitwise reproducible for a given
+numpy/BLAS build and thread count.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-_flag = os.environ.get("PROMPTMOE_NUMBA", "1").strip().lower()
-USE_NUMBA = HAVE_NUMBA and _flag not in ("0", "false", "off")
-
 
 def active_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
-# --------------------------------------------------------------------------
-# numpy implementations
-# --------------------------------------------------------------------------
-
-
-def _jacobi_sweeps_np(a, v, max_sweeps, tol):
+def jacobi_sweeps(a, v, max_sweeps, tol):
     """Cyclic Jacobi rotations on symmetric ``a`` (mutated toward diagonal).
 
     Rotations accumulate into ``v`` (columns become eigenvectors). Returns
@@ -45,7 +23,7 @@ def _jacobi_sweeps_np(a, v, max_sweeps, tol):
     """
     n = a.shape[0]
     sweeps = 0
-    off = _offdiag_norm_np(a)
+    off = _offdiag_norm(a)
     while off > tol and sweeps < max_sweeps:
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -74,16 +52,16 @@ def _jacobi_sweeps_np(a, v, max_sweeps, tol):
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
         sweeps += 1
-        off = _offdiag_norm_np(a)
+        off = _offdiag_norm(a)
     return off, sweeps
 
 
-def _offdiag_norm_np(a):
+def _offdiag_norm(a):
     d = np.diag(np.diag(a))
     return float(np.sqrt(np.sum((a - d) ** 2)))
 
 
-def _masked_softmax_np(scores, valid):
+def masked_softmax(scores, valid):
     """Row softmax over the last axis restricted to ``valid`` entries.
 
     Invalid entries get probability 0; an all-invalid row comes back as
@@ -92,13 +70,13 @@ def _masked_softmax_np(scores, valid):
     neg = np.where(valid, scores, -np.inf)
     m = neg.max(axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(scores - m) * valid
+    e = np.exp(neg - m)  # invalid entries hold -inf, so they come out exactly 0
     z = e.sum(axis=-1, keepdims=True)
     z = np.where(z > 0.0, z, 1.0)
     return e / z
 
 
-def _nll_fwd_bwd_np(logits, targets, mask):
+def nll_fwd_bwd(logits, targets, mask):
     """Masked token NLL over rows of ``logits``.
 
     Returns (loss_sum, dlogits) where loss_sum = sum_i mask_i * (logsumexp_i
@@ -117,7 +95,7 @@ def _nll_fwd_bwd_np(logits, targets, mask):
     return float(per_row.sum()), dlogits
 
 
-def _adamw_update_np(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
+def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
     """One decoupled-weight-decay Adam update, in place on flat arrays."""
     m *= beta1
     m += (1.0 - beta1) * g
@@ -126,150 +104,3 @@ def _adamw_update_np(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
     mhat = m / (1.0 - beta1**step)
     vhat = v / (1.0 - beta2**step)
     p -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p)
-
-
-# --------------------------------------------------------------------------
-# numba implementations
-# --------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_sweeps_nb(a, v, max_sweeps, tol):
-        n = a.shape[0]
-        sweeps = 0
-        off = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    off += a[i, j] * a[i, j]
-        off = np.sqrt(off)
-        while off > tol and sweeps < max_sweeps:
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= 1e-300:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                    if theta < 0.0:
-                        t = -t
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    app = a[p, p]
-                    aqq = a[q, q]
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    for k in range(n):
-                        if k != p and k != q:
-                            akp = a[k, p]
-                            akq = a[k, q]
-                            a[k, p] = c * akp - s * akq
-                            a[p, k] = a[k, p]
-                            a[k, q] = s * akp + c * akq
-                            a[q, k] = a[k, q]
-                    for k in range(n):
-                        vkp = v[k, p]
-                        vkq = v[k, q]
-                        v[k, p] = c * vkp - s * vkq
-                        v[k, q] = s * vkp + c * vkq
-            sweeps += 1
-            off = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        off += a[i, j] * a[i, j]
-            off = np.sqrt(off)
-        return off, sweeps
-
-    @njit(cache=True)
-    def _masked_softmax_nb(scores, valid):
-        n, l = scores.shape
-        out = np.zeros((n, l))
-        for i in range(n):
-            m = -np.inf
-            for j in range(l):
-                if valid[i, j] and scores[i, j] > m:
-                    m = scores[i, j]
-            if m == -np.inf:
-                continue
-            z = 0.0
-            for j in range(l):
-                if valid[i, j]:
-                    e = np.exp(scores[i, j] - m)
-                    out[i, j] = e
-                    z += e
-            for j in range(l):
-                out[i, j] /= z
-        return out
-
-    @njit(cache=True)
-    def _nll_fwd_bwd_nb(logits, targets, mask):
-        n, vsize = logits.shape
-        dlogits = np.zeros((n, vsize))
-        loss = 0.0
-        for i in range(n):
-            w = mask[i]
-            if w == 0.0:
-                continue
-            m = logits[i, 0]
-            for j in range(1, vsize):
-                if logits[i, j] > m:
-                    m = logits[i, j]
-            z = 0.0
-            for j in range(vsize):
-                z += np.exp(logits[i, j] - m)
-            logz = m + np.log(z)
-            t = targets[i]
-            loss += w * (logz - logits[i, t])
-            for j in range(vsize):
-                dlogits[i, j] = w * np.exp(logits[i, j] - m) / z
-            dlogits[i, t] -= w
-        return loss, dlogits
-
-    @njit(cache=True)
-    def _adamw_update_nb(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
-        bc1 = 1.0 - beta1**step
-        bc2 = 1.0 - beta2**step
-        for i in range(p.size):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            mhat = m[i] / bc1
-            vhat = v[i] / bc2
-            p[i] -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p[i])
-
-
-class _Impls:
-    def __init__(self, jacobi, softmax, nll, adamw):
-        self.jacobi_sweeps = jacobi
-        self.masked_softmax = softmax
-        self.nll_fwd_bwd = nll
-        self.adamw_update = adamw
-
-
-numpy_impl = _Impls(_jacobi_sweeps_np, _masked_softmax_np, _nll_fwd_bwd_np, _adamw_update_np)
-numba_impl = (
-    _Impls(_jacobi_sweeps_nb, _masked_softmax_nb, _nll_fwd_bwd_nb, _adamw_update_nb)
-    if HAVE_NUMBA
-    else None
-)
-
-_active = numba_impl if USE_NUMBA else numpy_impl
-
-
-def jacobi_sweeps(a, v, max_sweeps, tol):
-    return _active.jacobi_sweeps(a, v, max_sweeps, tol)
-
-
-def masked_softmax(scores, valid):
-    return _active.masked_softmax(scores, valid)
-
-
-def nll_fwd_bwd(logits, targets, mask):
-    return _active.nll_fwd_bwd(logits, targets, mask)
-
-
-def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
-    return _active.adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay)

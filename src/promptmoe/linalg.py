@@ -55,23 +55,6 @@ class RngStream:
 DEGENERATE_RTOL = 3e-8
 
 
-def matmul(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def softmax(x, axis=-1):
-    x = np.asarray(x, dtype=np.float64)
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def mean_rows(x, mask):
     """Mean of ``x`` over its second-to-last axis, restricted to ``mask``.
 
@@ -89,10 +72,6 @@ def mean_rows(x, mask):
 
 def fro_norm(x):
     return float(np.sqrt(np.sum(np.asarray(x, dtype=np.float64) ** 2)))
-
-
-def sample_gaussian(rng, shape, std=1.0):
-    return rng.normal(0.0, std, size=shape)
 
 
 def _symmetric_eig(g):

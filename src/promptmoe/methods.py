@@ -39,7 +39,6 @@ class MethodConfig:
     probationary: bool = True
     init_text: str = ""
     router_w_std: float = 1.0
-    router_mean_includes_pad: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -99,12 +98,7 @@ class _RoutedMixin:
         )
 
     def _mu(self, lm, batch):
-        mask = (
-            np.ones_like(batch.attn_mask)
-            if self.cfg.router_mean_includes_pad
-            else batch.attn_mask
-        )
-        return mean_rows(lm.embed(batch.token_ids), mask)
+        return mean_rows(lm.embed(batch.token_ids), batch.attn_mask)
 
     def _weights(self, lm, batch, rng, training, forced):
         w_node = ad.leaf(self.w, "router.W")

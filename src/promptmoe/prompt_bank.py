@@ -3,7 +3,8 @@
 A bank holds n low-rank factors, each t x r, plus one shared r x h
 projection. A full prompt is (sum_i w_i * a_i) @ b: the weighted sum runs
 in the low-rank space first, then a single projection maps to the model
-width. Initialization factors the embedding matrix of an initialization
+width (``methods.PTMoEProvider.prompt_node`` builds it on the autodiff
+tape). Initialization factors the embedding matrix of an initialization
 text through a truncated SVD so every expert starts from the same
 task-relevant subspace; experts differentiate only through routing.
 """
@@ -65,15 +66,6 @@ def init_from_embeddings(e, n, r):
     a_one = u * root[None, :]
     b_shared = root[:, None] * vt
     return PromptBank(np.repeat(a_one[None, :, :], n, axis=0), b_shared)
-
-
-def compose(weights, bank):
-    """Prompt for one weight vector: weighted factor sum first, then project."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (bank.n,):
-        raise ShapeError(f"expected {bank.n} weights, got shape {weights.shape}")
-    mixed = np.einsum("n,ntr->tr", weights, bank.a)
-    return mixed @ bank.b_shared
 
 
 def param_count(n, t, r, h, with_router=False):

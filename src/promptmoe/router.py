@@ -11,9 +11,10 @@ independent switches:
   is scaled by router confidence; non-probationary renormalizes the kept
   weights to sum to 1.
 
-Differentiation treats the top-k mask and the renormalization constant as
-constants (straight-through), so gradients reach only the retained softmax
-entries.
+One function, ``route_batch``, routes a whole batch for training and for
+inference alike. Differentiation treats the top-k mask and the
+renormalization constant as constants (straight-through), so gradients
+reach only the retained softmax entries.
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, GraphError
-from .linalg import softmax
+from .errors import ConfigError
 
 
 @dataclass
@@ -49,13 +49,6 @@ class RouterParams:
     @property
     def n(self):
         return self.w.shape[0]
-
-    @property
-    def h(self):
-        return self.w.shape[1]
-
-    def param_count(self):
-        return self.w.size + self.b.size
 
 
 @dataclass
@@ -88,45 +81,8 @@ def _select(soft, params):
     return tuple(int(i) for i in keep), mask, renorm
 
 
-def route(mu, params, rng=None, training=False):
-    """Route one example from its mean input embedding; pure at inference."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logits = params.w @ mu + params.b
-    if training:
-        if rng is None:
-            raise ConfigError("training-time routing needs an rng for the noise draw")
-        eps = np.asarray(rng.normal((params.n,), std=params.sigma))
-        noisy = logits * (1.0 + eps)
-    else:
-        noisy = logits
-    soft = softmax(noisy)
-    selected, mask, renorm = _select(soft, params)
-    weights = soft * mask / renorm
-    return RoutingDecision(
-        weights=weights,
-        selected=selected,
-        soft=soft,
-        logits=logits,
-        noisy_logits=noisy,
-        mask=mask,
-        renorm=renorm,
-    )
-
-
-def straight_through_weights(soft_node, decision):
-    """Differentiable weights whose value equals ``decision.weights``.
-
-    ``soft_node`` must be the softmax node recorded in the current forward
-    pass; the selection mask and renorm constant enter as constants, which
-    is what makes the hard selection differentiable at all.
-    """
-    if not isinstance(soft_node, ad.Node):
-        raise GraphError("straight_through_weights needs the recorded softmax node")
-    return ad.mul(soft_node, ad.const(decision.mask / decision.renorm))
-
-
 def route_batch(mu, w_node, b_node, params, rng=None, training=False, forced=None):
-    """Batched, differentiable routing for the training graph.
+    """Route a batch of examples; the one router for training and inference.
 
     ``mu`` is the raw (b, h) mean-embedding matrix (the base model is
     frozen, so no gradient flows into it). Noise is drawn per example.

@@ -27,20 +27,16 @@ class TrainConfig:
     grad_accum: int = 2
     seed: int = 0
     eval_every: int = 0  # 0 disables periodic eval
-    checkpoint_dir: str = ""
     weight_decay: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    loss_reduction: str = "mean"
 
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.grad_accum < 1:
             raise ConfigError(f"grad_accum must be >= 1, got {self.grad_accum}")
-        if self.loss_reduction not in ("sum", "mean"):
-            raise ConfigError(f"loss_reduction must be sum or mean, got {self.loss_reduction}")
 
 
 def lr_at(step, cfg):
@@ -155,12 +151,7 @@ def train(
                     )
                 loss_total += float(loss.value)
                 token_total += count
-                objective = (
-                    ad.scale(loss, 1.0 / max(count, 1))
-                    if cfg.loss_reduction == "mean"
-                    else loss
-                )
-                grads = ad.backward(objective)
+                grads = ad.backward(ad.scale(loss, 1.0 / max(count, 1)))
                 for name, g in grads.items():
                     if name in accum:
                         accum[name] += g
@@ -209,11 +200,30 @@ def save_checkpoint(path, provider, state, step, cfg):
 
 
 def load_checkpoint(path, provider):
-    """Restore provider arrays; returns (state, completed_step, seed)."""
+    """Restore provider arrays; returns (state, completed_step, seed).
+
+    The stored arrays must carry exactly the names and shapes that this
+    provider and its optimizer state save. A checkpoint written under
+    another method or other shapes raises ConfigError before anything is
+    copied.
+    """
     with np.load(path) as arrays:
         data = {k: arrays[k] for k in arrays.files}
-    provider.load_arrays(data)
     state = AdamWState(provider.param_arrays())
+    expected = {**provider.to_arrays(), **state.to_arrays(), "train.meta": np.zeros(2)}
+    missing, unexpected = sorted(set(expected) - set(data)), sorted(set(data) - set(expected))
+    if missing or unexpected:
+        raise ConfigError(
+            f"checkpoint {path} does not fit the configured {provider.kind} provider: "
+            f"missing arrays {missing}, unexpected arrays {unexpected}"
+        )
+    for name, want in expected.items():
+        if data[name].shape != want.shape:
+            raise ConfigError(
+                f"checkpoint {path}: array {name!r} has shape {data[name].shape}, "
+                f"the config expects {want.shape}"
+            )
+    provider.load_arrays(data)
     state.load_arrays(data)
     step, seed = (int(x) for x in data["train.meta"])
     return state, step, seed

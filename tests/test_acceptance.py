@@ -185,24 +185,27 @@ def test_routing_invariants(capsys):
     b = rng.normal(size=4)
     mu = rng.normal(size=16)
 
+    def route_one(params):
+        return rt.route_batch(mu[None], params.w, params.b, params)[1][0]
+
     params = rt.RouterParams(w=w, b=b, k=2)
-    d1 = rt.route(mu, params)
-    d2 = rt.route(mu, params)
+    d1 = route_one(params)
+    d2 = route_one(params)
     deterministic = (d1.weights == d2.weights).all() and d1.selected == d2.selected
 
     shifted = rt.RouterParams(w=w, b=b + 5.0, k=2)
-    shift_ok = rt.route(mu, shifted).selected == d1.selected
+    shift_ok = route_one(shifted).selected == d1.selected
 
     single = []
     for sel in (True, False):
         for prob in (True, False):
             p1 = rt.RouterParams(w=w[:1], b=b[:1], k=1, selective=sel, probationary=prob)
-            single.append(rt.route(mu, p1).weights)
+            single.append(route_one(p1).weights)
     degenerate = all(np.allclose(s, [1.0], atol=0, rtol=0) for s in single)
 
     kn = rt.RouterParams(w=w, b=b, k=4, selective=True, probationary=True)
     ns = rt.RouterParams(w=w, b=b, k=1, selective=False, probationary=True)
-    full_equiv = np.abs(rt.route(mu, kn).weights - rt.route(mu, ns).weights).max() <= 1e-15
+    full_equiv = np.abs(route_one(kn).weights - route_one(ns).weights).max() <= 1e-15
 
     # 10^4 noise draws through the training path, in one batch
     n = 2

@@ -95,6 +95,26 @@ def test_train_then_eval_and_inspect(tiny_config, tmp_path, capsys):
     assert "selected=" in text
 
 
+def test_eval_checkpoint_under_mismatched_config_is_exit_2(tiny_config, tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    assert run_cli("train", "--config", tiny_config, "--seed", "3",
+                   "--out", str(tmp_path / "run"), "--cache-dir", cache, "--quiet") == 0
+    capsys.readouterr()
+    raw = json.loads(open(tiny_config).read())
+    cases = (
+        ({"prompt_length": 6}, "array 'A.0' has shape (8, 2), the config expects (6, 2)"),
+        ({"kind": "PT"}, "missing arrays ['opt.m.pt.P', 'opt.v.pt.P', 'pt.P']"),
+    )
+    for override, message in cases:
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**raw, "method": {**raw["method"], **override}}))
+        code = run_cli("eval", "--config", str(other), "--cache-dir", cache, "--quiet",
+                       "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+
+
 def test_eval_on_explicit_jsonl(tiny_config, tmp_path, capsys):
     cache = str(tmp_path / "cache")
     out_dir = str(tmp_path / "run")

@@ -1,6 +1,8 @@
 """Config parsing: strict keys, section validation, JSON roundtrip."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -23,6 +25,19 @@ def test_unknown_section_rejected():
 def test_unknown_key_names_valid_ones():
     with pytest.raises(ConfigError, match="warmup_step"):
         cf.from_dict({"train": {"warmup_step": 10}})
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("train", "checkpoint_dir", "ckpt"),
+        ("train", "loss_reduction", "mean"),
+        ("method", "router_mean_includes_pad", False),
+    ],
+)
+def test_removed_knobs_rejected_by_name(section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        cf.from_dict({section: {key: value}})
 
 
 def test_non_object_section_rejected():
@@ -69,3 +84,21 @@ def test_partial_override_keeps_other_defaults():
     assert rc.train.steps == 7
     assert rc.train.grad_accum == 2
     assert rc.method.kind == "PT_MOE"
+
+
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_package_reads_no_environment_variables():
+    # results depend on the config, the seed and the BLAS thread count, never
+    # on a hidden switch in the environment
+    reads = []
+    for path in sorted(pathlib.Path(cf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ENV_READS:
+                reads.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [
+                    f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in ENV_READS
+                ]
+    assert not reads, reads

@@ -41,9 +41,12 @@ def test_score_example_span_vs_math():
 
 
 def test_primary_metric_name():
-    assert ev.primary_metric_name("mod_add") == "math_accuracy"
-    assert ev.primary_metric_name("mod_mul") == "math_accuracy"
-    assert ev.primary_metric_name("copy_span") == "em"
+    # math tasks rank by extraction accuracy, span tasks by exact match
+    for task in ("mod_add", "mod_mul"):
+        rec = ev.score_example("so The answer is: 7", "The answer is: 7", task)
+        assert rec["em"] == 0.0 and rec["primary"] == rec["math_accuracy"] == 1.0
+    rec = ev.score_example("a b", "a b c", "copy_span")
+    assert rec["f1"] > 0.0 and rec["primary"] == rec["em"] == 0.0
 
 
 def test_report_shape_and_counts(lm, provider):

@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from promptmoe import kernels
-from promptmoe.kernels import numba_impl, numpy_impl
-
-IMPLS = [("numpy", numpy_impl)] + ([("numba", numba_impl)] if numba_impl else [])
 
 
-@pytest.fixture(params=IMPLS, ids=[name for name, _ in IMPLS])
+# One implementation; the "numpy" id keeps the test ids the two-backend
+# suite used.
+@pytest.fixture(params=[kernels], ids=["numpy"])
 def impl(request):
-    return request.param[1]
+    return request.param
 
 
 def test_backend_dispatch_is_consistent():
-    assert kernels.active_backend() in ("numpy", "numba")
-    if kernels.USE_NUMBA:
-        assert kernels.numba_impl is not None
+    assert kernels.active_backend() == "numpy"
 
 
 def test_masked_softmax_rows_sum_to_one(impl):
@@ -31,6 +28,13 @@ def test_masked_softmax_rows_sum_to_one(impl):
     assert np.all(p[5] == 0.0)
     # invalid positions carry no mass
     assert np.all(p[valid == 0.0] == 0.0)
+
+
+def test_masked_softmax_ignores_masked_outliers(impl):
+    # a masked score far above the valid max must not overflow into NaN
+    with np.errstate(all="raise"):
+        p = impl.masked_softmax(np.array([[0.0, 1000.0]]), np.array([[1.0, 0.0]]))
+    assert p.tolist() == [[1.0, 0.0]]
 
 
 def test_masked_softmax_matches_plain_softmax_when_all_valid(impl):
@@ -118,36 +122,3 @@ def test_jacobi_diagonalizes_random_symmetric(impl):
     # V diag(A) V^T reconstructs G and V is orthogonal
     assert np.allclose(v @ np.diag(np.diag(a)) @ v.T, g, atol=1e-12)
     assert np.allclose(v.T @ v, np.eye(10), atol=1e-12)
-
-
-@pytest.mark.skipif(numba_impl is None, reason="numba unavailable")
-def test_paths_agree_on_random_inputs():
-    rng = np.random.default_rng(23)
-    scores = rng.normal(size=(8, 12))
-    valid = (rng.random((8, 12)) > 0.3).astype(np.float64)
-    assert np.allclose(
-        numpy_impl.masked_softmax(scores, valid),
-        numba_impl.masked_softmax(scores, valid),
-        atol=1e-14,
-    )
-    logits = rng.normal(size=(6, 20))
-    targets = rng.integers(0, 20, size=6).astype(np.int64)
-    mask = (rng.random(6) > 0.2).astype(np.float64)
-    l1, d1 = numpy_impl.nll_fwd_bwd(logits, targets, mask)
-    l2, d2 = numba_impl.nll_fwd_bwd(logits, targets, mask)
-    assert l1 == pytest.approx(l2, abs=1e-11)
-    assert np.allclose(d1, d2, atol=1e-13)
-    x = rng.normal(size=(7, 7))
-    g = (x + x.T) / 2
-    a1, v1 = g.copy(), np.eye(7)
-    a2, v2 = g.copy(), np.eye(7)
-    numpy_impl.jacobi_sweeps(a1, v1, 60, 1e-13 * np.linalg.norm(g))
-    numba_impl.jacobi_sweeps(a2, v2, 60, 1e-13 * np.linalg.norm(g))
-    assert np.allclose(np.sort(np.diag(a1)), np.sort(np.diag(a2)), atol=1e-11)
-    p1, p2 = np.ones(50), np.ones(50)
-    grad = rng.normal(size=50)
-    m1, v1m = np.zeros(50), np.zeros(50)
-    m2, v2m = np.zeros(50), np.zeros(50)
-    numpy_impl.adamw_update(p1, grad, m1, v1m, 1, 0.01, 0.9, 0.999, 1e-8, 0.1)
-    numba_impl.adamw_update(p2, grad, m2, v2m, 1, 0.01, 0.9, 0.999, 1e-8, 0.1)
-    assert np.allclose(p1, p2, atol=1e-15)

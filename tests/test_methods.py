@@ -9,6 +9,7 @@ from promptmoe import methods as mt
 from promptmoe.errors import ConfigError
 from promptmoe.linalg import RngStream, truncated_svd
 from promptmoe.model import LMConfig, ToyLM
+from test_prompt_bank import compose
 
 H_REF = 2048
 
@@ -94,6 +95,22 @@ def test_routed_prompts_depend_only_on_router(lm):
     assert np.allclose(a.value, b.value, atol=1e-14)
     assert da[0].selected == db[0].selected
     assert not np.allclose(a.value, c.value)
+
+
+def test_ptmoe_prompt_matches_compose_oracle(lm):
+    # each example's prompt is sum_i w_i * (A_i @ B) under its own decision
+    batch = tiny_batch(["copy: q r\n", "3+3 (mod 10)\n", "zz\n"])
+    for selective in (True, False):
+        for probationary in (True, False):
+            p = make_provider(lm, "PT_MOE", num_experts=3, rank=4, k=2, router_w_std=4.0,
+                              selective=selective, probationary=probationary)
+            p.bank.a[...] += np.random.default_rng(1).normal(size=p.bank.a.shape)
+            for training in (False, True):
+                node, decisions = p.prompt_node(
+                    lm, batch, rng=RngStream(2).child("noise"), training=training
+                )
+                for e, d in enumerate(decisions):
+                    assert np.allclose(node.value[e], compose(d.weights, p.bank), atol=1e-12)
 
 
 def test_ptmoe_n1_matches_dpt(lm):

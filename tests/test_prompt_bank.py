@@ -3,8 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptmoe import autodiff as ad
 from promptmoe import prompt_bank as pb
 from promptmoe.errors import ConfigError, ShapeError
+
+
+def compose(weights, bank):
+    """Oracle prompt for one weight vector: sum_i w_i * (a_i @ b)."""
+    return sum(w * (a @ bank.b_shared) for w, a in zip(weights, bank.a))
+
+
+def mix_then_project(weights, bank):
+    """The prompt ``PTMoEProvider.prompt_node`` builds: weighted factor sum, then b."""
+    mixed = ad.expert_mix(ad.const(np.asarray(weights, dtype=np.float64)[None]), bank.a)
+    return ad.matmul(mixed, bank.b_shared).value[0]
 
 
 def random_bank(seed=0, n=3, t=6, r=2, h=10):
@@ -54,27 +66,25 @@ def test_init_rejects_bad_rank():
 
 def test_compose_one_hot_picks_single_expert():
     bank = random_bank()
-    out = pb.compose(np.array([1.0, 0.0, 0.0]), bank)
+    out = mix_then_project(np.array([1.0, 0.0, 0.0]), bank)
     assert np.allclose(out, bank.a[0] @ bank.b_shared, atol=1e-15)
 
 
 def test_compose_zero_weights_zero_prompt():
     bank = random_bank()
-    assert np.all(pb.compose(np.zeros(3), bank) == 0.0)
+    assert np.all(mix_then_project(np.zeros(3), bank) == 0.0)
 
 
 def test_compose_matches_naive_order():
     # weighted-sum-then-project vs project-each-then-sum
     bank = random_bank(seed=5)
     w = np.array([0.3, 0.7, -0.2])
-    fused = pb.compose(w, bank)
-    naive = sum(w[i] * (bank.a[i] @ bank.b_shared) for i in range(3))
-    assert np.allclose(fused, naive, atol=1e-12)
+    assert np.allclose(mix_then_project(w, bank), compose(w, bank), atol=1e-12)
 
 
 def test_compose_rejects_weight_mismatch():
     with pytest.raises(ShapeError):
-        pb.compose(np.ones(2), random_bank())
+        mix_then_project(np.ones(2), random_bank())
 
 
 @settings(max_examples=25, deadline=None)
@@ -88,8 +98,8 @@ def test_compose_linear_in_weights(alpha, beta, seed):
     bank = random_bank(seed=seed)
     u = rng.normal(size=3)
     v = rng.normal(size=3)
-    lhs = pb.compose(alpha * u + beta * v, bank)
-    rhs = alpha * pb.compose(u, bank) + beta * pb.compose(v, bank)
+    lhs = mix_then_project(alpha * u + beta * v, bank)
+    rhs = alpha * mix_then_project(u, bank) + beta * mix_then_project(v, bank)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from promptmoe import autodiff as ad
 from promptmoe import router
-from promptmoe.errors import ConfigError, GraphError
-from promptmoe.linalg import RngStream, softmax
+from promptmoe.errors import ConfigError
+from promptmoe.linalg import RngStream
 
 
 def params_for(logit_bias, sigma=0.0, k=1, selective=True, probationary=True):
@@ -19,23 +19,41 @@ def params_for(logit_bias, sigma=0.0, k=1, selective=True, probationary=True):
     )
 
 
+def route_one(mu, params, rng=None, training=False):
+    """``route_batch`` on a single example (B=1); returns its decision."""
+    _, decisions = router.route_batch(
+        np.asarray(mu, dtype=float)[None],
+        ad.const(params.w),
+        ad.const(params.b),
+        params,
+        rng=rng,
+        training=training,
+    )
+    return decisions[0]
+
+
+def softmax(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
 def test_route_frozen_example_probationary():
     # zero weights + bias [1, 0]: softmax = [0.73106, 0.26894], keep top-1
-    d = router.route(np.zeros(4), params_for([1.0, 0.0]))
+    d = route_one(np.zeros(4), params_for([1.0, 0.0]))
     assert d.weights == pytest.approx([0.73106, 0.0], abs=1e-5)
     assert d.selected == (0,)
 
 
 def test_route_frozen_example_renormalized():
-    d = router.route(np.zeros(4), params_for([1.0, 0.0], probationary=False))
+    d = route_one(np.zeros(4), params_for([1.0, 0.0], probationary=False))
     assert d.weights == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_route_tie_breaks_to_lowest_index():
-    d = router.route(np.zeros(4), params_for([0.5, 0.5]))
+    d = route_one(np.zeros(4), params_for([0.5, 0.5]))
     assert d.selected == (0,)
     for _ in range(5):
-        again = router.route(np.zeros(4), params_for([0.5, 0.5]))
+        again = route_one(np.zeros(4), params_for([0.5, 0.5]))
         assert again.selected == (0,)
 
 
@@ -43,8 +61,8 @@ def test_route_inference_is_bitwise_deterministic():
     rng = np.random.default_rng(0)
     p = router.RouterParams(w=rng.normal(size=(3, 6)), b=rng.normal(size=3), k=2)
     mu = rng.normal(size=6)
-    first = router.route(mu, p)
-    second = router.route(mu, p)
+    first = route_one(mu, p)
+    second = route_one(mu, p)
     assert np.array_equal(first.weights, second.weights)
     assert first.selected == second.selected
 
@@ -53,15 +71,15 @@ def test_argmax_invariant_under_logit_shift():
     rng = np.random.default_rng(1)
     p = router.RouterParams(w=rng.normal(size=(4, 5)), b=rng.normal(size=4), k=2)
     mu = rng.normal(size=5)
-    base = router.route(mu, p).selected
+    base = route_one(mu, p).selected
     shifted = router.RouterParams(w=p.w, b=p.b + 7.5, k=2)
-    assert router.route(mu, shifted).selected == base
+    assert route_one(mu, shifted).selected == base
 
 
 def test_single_expert_all_modes_degenerate():
     for selective in (True, False):
         for probationary in (True, False):
-            d = router.route(
+            d = route_one(
                 np.zeros(4),
                 params_for([0.3], selective=selective, probationary=probationary),
             )
@@ -74,15 +92,15 @@ def test_selective_full_k_equals_non_selective_probationary():
     p_sel = router.RouterParams(w=rng.normal(size=(4, 5)), b=rng.normal(size=4), k=4)
     p_non = router.RouterParams(w=p_sel.w, b=p_sel.b, selective=False)
     mu = rng.normal(size=5)
-    a = router.route(mu, p_sel).weights
-    b = router.route(mu, p_non).weights
+    a = route_one(mu, p_sel).weights
+    b = route_one(mu, p_non).weights
     assert np.all(np.abs(a - b) <= 1e-15)
 
 
 def test_weights_zero_outside_selected_and_counts():
     rng = np.random.default_rng(3)
     p = router.RouterParams(w=rng.normal(size=(5, 6)), b=rng.normal(size=5), k=2)
-    d = router.route(rng.normal(size=6), p)
+    d = route_one(rng.normal(size=6), p)
     assert len(d.selected) == 2
     off = [i for i in range(5) if i not in d.selected]
     assert np.all(d.weights[off] == 0.0)
@@ -93,18 +111,18 @@ def test_non_probationary_weights_sum_to_one():
     p = router.RouterParams(
         w=rng.normal(size=(5, 6)), b=rng.normal(size=5), k=3, probationary=False
     )
-    d = router.route(rng.normal(size=6), p)
+    d = route_one(rng.normal(size=6), p)
     assert d.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_training_noise_requires_rng_and_is_neutral_in_mean():
     p = params_for([2.0, -1.0], sigma=0.01)
     with pytest.raises(ConfigError):
-        router.route(np.zeros(4), p, training=True)
+        route_one(np.zeros(4), p, training=True)
     stream = RngStream(77)
     draws = np.array(
         [
-            router.route(np.zeros(4), p, rng=stream.child("noise", i), training=True).noisy_logits
+            route_one(np.zeros(4), p, rng=stream.child("noise", i), training=True).noisy_logits
             for i in range(10_000)
         ]
     )
@@ -118,7 +136,7 @@ def test_training_noise_std_matches_sigma():
     stream = RngStream(123)
     eps = []
     for i in range(10_000):
-        d = router.route(np.zeros(4), p, rng=stream.child("noise", i), training=True)
+        d = route_one(np.zeros(4), p, rng=stream.child("noise", i), training=True)
         eps.extend(d.noisy_logits / d.logits - 1.0)
     sd = np.std(eps)
     assert 0.0098 <= sd <= 0.0102
@@ -126,7 +144,7 @@ def test_training_noise_std_matches_sigma():
 
 def test_inference_ignores_noise():
     p = params_for([1.0, 0.0], sigma=5.0)
-    d = router.route(np.zeros(4), p, rng=RngStream(0).child("x"), training=False)
+    d = route_one(np.zeros(4), p, rng=RngStream(0).child("x"), training=False)
     assert np.array_equal(d.noisy_logits, d.logits)
 
 
@@ -139,18 +157,19 @@ def test_router_params_validation():
         router.RouterParams(w=np.zeros((2, 4)), b=np.zeros(3))
 
 
-def test_straight_through_requires_node():
-    d = router.route(np.zeros(4), params_for([1.0, 0.0]))
-    with pytest.raises(GraphError):
-        router.straight_through_weights(d.soft, d)
-
-
 def test_straight_through_forward_matches_decision():
-    p = params_for([0.5, -0.5], probationary=False)
-    d = router.route(np.zeros(4), p)
-    soft_node = ad.softmax(ad.const(d.noisy_logits))
-    w = router.straight_through_weights(soft_node, d)
-    assert np.allclose(w.value, d.weights, atol=1e-15)
+    # the differentiable weight node carries exactly the decisions' weights
+    rng = np.random.default_rng(8)
+    mu = rng.normal(size=(3, 6))
+    for selective in (True, False):
+        for probationary in (True, False):
+            p = router.RouterParams(
+                w=rng.normal(size=(4, 6)), b=rng.normal(size=4), k=2,
+                selective=selective, probationary=probationary,
+            )
+            wn, decisions = router.route_batch(mu, ad.leaf(p.w, "w"), ad.leaf(p.b, "b"), p)
+            for e, d in enumerate(decisions):
+                assert np.allclose(wn.value[e], d.weights, rtol=0, atol=1e-15)
 
 
 def test_straight_through_unselected_logit_gets_zero_grad():
@@ -173,13 +192,15 @@ def test_straight_through_unselected_logit_gets_zero_grad():
 
 
 def test_route_batch_matches_route_per_example():
+    # a batch of B rows routes each row as a batch of one would
     rng = np.random.default_rng(5)
     p = router.RouterParams(w=rng.normal(size=(3, 6)), b=rng.normal(size=3), k=2)
     mu = rng.normal(size=(4, 6))
     wn, decisions = router.route_batch(mu, ad.const(p.w), ad.const(p.b), p)
     for e in range(4):
-        single = router.route(mu[e], p)
-        assert np.allclose(wn.value[e], single.weights, atol=1e-15)
+        single = route_one(mu[e], p)
+        assert np.allclose(wn.value[e], single.weights, rtol=0, atol=1e-15)
+        assert np.allclose(decisions[e].soft, single.soft, rtol=0, atol=1e-15)
         assert decisions[e].selected == single.selected
 
 

@@ -121,8 +121,6 @@ def test_train_config_rejects_bad_values():
         tr.TrainConfig(steps=0)
     with pytest.raises(ConfigError):
         tr.TrainConfig(steps=1, grad_accum=0)
-    with pytest.raises(ConfigError):
-        tr.TrainConfig(steps=1, loss_reduction="median")
 
 
 def test_no_trainable_params_is_config_error(lm):
