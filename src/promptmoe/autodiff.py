@@ -13,7 +13,11 @@ backward rule computes adjoints for its active parents only (``None`` for
 the others).
 
 All values are float64 numpy arrays. Ops accept raw arrays anywhere a Node
-is expected and wrap them as unnamed constants.
+is expected and wrap them as unnamed constants. No op and no backward rule
+writes into an input value or an incoming adjoint: the hot ops (gelu,
+layernorm, the masked softmax) compute in place in arrays they allocate
+themselves, in the same floating-point operation order as their textbook
+formulas.
 """
 
 import math
@@ -112,12 +116,20 @@ def rotate_half(a):
     a = as_node(a)
     if a.value.ndim < 1 or a.value.shape[-1] % 2:
         raise ShapeError(f"rotate_half needs an even last axis, got shape {a.value.shape}")
-    return Node(_rotate_half(a.value), (a,), lambda g: (-_rotate_half(g),))
+    return Node(_rotate_half(a.value), (a,), lambda g: (_rotate_half(g, inverse=True),))
 
 
-def _rotate_half(x):
+def _rotate_half(x, inverse=False):
+    """[x1, x2] -> [-x2, x1], or its inverse [x2, -x1], into one new C-ordered array."""
     d2 = x.shape[-1] // 2
-    return np.concatenate([-x[..., d2:], x[..., :d2]], axis=-1)
+    out = np.empty(x.shape)
+    if inverse:
+        out[..., :d2] = x[..., d2:]
+        np.negative(x[..., :d2], out=out[..., d2:])
+    else:
+        np.negative(x[..., d2:], out=out[..., :d2])
+        out[..., d2:] = x[..., :d2]
+    return out
 
 
 def mul(a, b):
@@ -140,7 +152,11 @@ def matmul(a, b):
         )
     if a.value.shape[-1] != b.value.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.value.shape} @ {b.value.shape}")
-    out = a.value @ b.value
+    if a.value.ndim == 3 and a.value.shape[1] == 1 and b.value.ndim == 2:
+        # one (b, h) @ (h, n) gemm, not b separate (1, h) @ (h, n) products
+        out = (a.value[:, 0] @ b.value)[:, None]
+    else:
+        out = a.value @ b.value
 
     def vjp(g):
         da = _unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape) if a.active else None
@@ -206,38 +222,47 @@ def _softmax_last(x):
 
 
 def masked_softmax(a, valid):
-    """Softmax over the last axis with invalid entries pinned to zero."""
+    """Softmax over the last axis with invalid entries pinned to zero.
+
+    ``valid`` is a boolean mask that broadcasts against ``a`` (see
+    ``kernels.masked_softmax``).
+    """
     a = as_node(a)
-    valid = np.asarray(valid, dtype=np.float64)
-    flat = a.value.reshape(-1, a.value.shape[-1])
-    vflat = np.broadcast_to(valid, a.value.shape).reshape(flat.shape)
-    s = kernels.masked_softmax(np.ascontiguousarray(flat), np.ascontiguousarray(vflat))
-    s = s.reshape(a.value.shape)
+    s = kernels.masked_softmax(a.value, valid)
 
     def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        da = g * s
+        dot = da.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=da)
+        da *= s
+        return (da,)
 
     return Node(s, (a,), vjp)
 
 
 def layernorm(x, gain, bias, eps=1e-5):
     x, gain, bias = as_node(x), as_node(gain), as_node(bias)
+    # the operations of mean, var and (x - mu) * inv * gain + bias, in two buffers
     mu = x.value.mean(axis=-1, keepdims=True)
-    var = x.value.var(axis=-1, keepdims=True)
+    xhat = x.value - mu
+    out = np.square(xhat)
+    var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu) * inv
-    out = xhat * gain.value + bias.value
+    xhat *= inv
+    np.multiply(xhat, gain.value, out=out)
+    out += bias.value
 
     def vjp(g):
         dx = dgain = dbias = None
         if x.active:
-            gdot = g * gain.value
-            dx = inv * (
-                gdot
-                - gdot.mean(axis=-1, keepdims=True)
-                - xhat * (gdot * xhat).mean(axis=-1, keepdims=True)
-            )
+            # inv * (gdot - mean(gdot) - xhat * mean(gdot * xhat)), gdot = g * gain
+            dx = g * gain.value
+            tmp = dx * xhat
+            m2 = tmp.mean(axis=-1, keepdims=True)
+            dx -= dx.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, m2, out=tmp)
+            dx -= tmp
+            dx *= inv
         if gain.active:
             dgain = _unbroadcast(g * xhat, gain.value.shape)
         if bias.active:
@@ -254,15 +279,33 @@ def gelu(x):
     """tanh-form gelu; smooth everywhere, which keeps finite differences honest."""
     x = as_node(x)
     v = x.value
-    # v**3 goes to libm pow, which costs ~50x two multiplies at model shapes
-    inner = _GELU_C * (v + 0.044715 * (v * v * v))
-    t = np.tanh(inner)
-    out = 0.5 * v * (1.0 + t)
+    # t = tanh(c * (v + 0.044715 * v**3)) and out = 0.5 * v * (1 + t), in
+    # place; v**3 goes to libm pow, which costs ~50x two multiplies
+    t = v * v
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(v, 0.5)
+    out *= t + 1.0
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
-        dv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * dinner
-        return (g * dv,)
+        # g * (0.5 * (1 + t) + 0.5 * v * (1 - t**2) * c * (1 + 3 * 0.044715 * v**2))
+        dinner = v * v
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
+        tail = np.multiply(v, 0.5)
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        tail *= sech2
+        tail *= dinner
+        dv = np.add(t, 1.0, out=dinner)
+        dv *= 0.5
+        dv += tail
+        dv *= g
+        return (dv,)
 
     return Node(out, (x,), vjp)
 
@@ -296,10 +339,8 @@ def masked_nll(logits, targets, loss_mask):
     vsize = logits.value.shape[-1]
     if targets.size and (targets.min() < 0 or targets.max() >= vsize):
         raise ShapeError(f"target id out of range for vocab {vsize}")
-    flat = np.ascontiguousarray(logits.value.reshape(-1, vsize))
-    tflat = np.ascontiguousarray(targets.reshape(-1))
-    mflat = np.ascontiguousarray(mask.reshape(-1))
-    loss, dflat = kernels.nll_fwd_bwd(flat, tflat, mflat)
+    flat = np.ascontiguousarray(logits.value.reshape(-1, vsize))  # no copy: logits come from matmul
+    loss, dflat = kernels.nll_fwd_bwd(flat, targets.reshape(-1), mask.reshape(-1))
     dfull = dflat.reshape(logits.value.shape)
 
     def vjp(g):
@@ -359,6 +400,11 @@ def backward(loss):
     constants are never visited and keep ``.grad`` None. Unreachable
     parameters simply do not appear in the result (treat as zero). A
     gradient may share memory with another node's, so treat it as read-only.
+
+    A node's first adjoint is kept as its backward rule returned it, which
+    may be a view of a child's adjoint (transpose, reshape, concat, add).
+    The second is added into a new array, and later ones are added in place
+    into that array, which only this node holds.
     """
     if not isinstance(loss, Node):
         raise GraphError("backward needs a Node produced by a recorded forward pass")
@@ -368,6 +414,7 @@ def backward(loss):
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.value)
+    owned = set()  # ids of nodes whose .grad backward allocated itself
     grads = {}
     for node in reversed(order):
         if node.grad is None:
@@ -391,9 +438,13 @@ def backward(loss):
                         f"adjoint shape {part.shape} does not match value shape "
                         f"{parent.value.shape}"
                     )
-                # a first adjoint may be a view of the child's grad (transpose,
-                # reshape, concat), so it is kept as is and never written into
-                parent.grad = part if parent.grad is None else parent.grad + part
+                if parent.grad is None:
+                    parent.grad = part
+                elif id(parent) in owned:
+                    parent.grad += part
+                else:
+                    parent.grad = parent.grad + part
+                    owned.add(id(parent))
         if node.name is not None:
             if node.name in grads:
                 raise GraphError(f"two distinct leaves share the name {node.name!r}")

@@ -5,6 +5,13 @@ numeric time in: cyclic Jacobi rotations, the masked attention softmax,
 the fused token NLL with its gradient, and the AdamW update. There is one
 implementation of each, so results are bitwise reproducible for a given
 numpy/BLAS build and thread count.
+
+The softmax and the NLL work in place on one output array they allocate
+and never write into their inputs. ``masked_softmax`` takes scores of any
+number of axes and a boolean mask that broadcasts against them (the
+attention mask is (b, 1, q, keys) against (b, heads, q, keys) scores), so
+the mask is never expanded to the scores' shape, and masked entries are
+never exponentiated.
 """
 
 import numpy as np
@@ -62,18 +69,23 @@ def _offdiag_norm(a):
 
 
 def masked_softmax(scores, valid):
-    """Row softmax over the last axis restricted to ``valid`` entries.
+    """Softmax over the last axis restricted to ``valid`` entries.
 
-    Invalid entries get probability 0; an all-invalid row comes back as
-    zeros (callers never produce one in practice).
+    ``valid`` is a boolean mask that broadcasts against ``scores``. Invalid
+    entries get probability 0; an all-invalid row comes back as zeros
+    (callers never produce one in practice).
     """
-    neg = np.where(valid, scores, -np.inf)
-    m = neg.max(axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(neg - m)  # invalid entries hold -inf, so they come out exactly 0
-    z = e.sum(axis=-1, keepdims=True)
-    z = np.where(z > 0.0, z, 1.0)
-    return e / z
+    valid = np.asarray(valid, dtype=bool)
+    m = np.max(scores, axis=-1, keepdims=True, initial=-np.inf, where=valid)
+    m[~np.isfinite(m)] = 0.0
+    out = np.zeros(scores.shape)
+    # exp runs over valid entries only: exp(-inf) takes numpy's slow path
+    np.subtract(scores, m, out=out, where=valid)
+    np.exp(out, out=out, where=valid)
+    z = out.sum(axis=-1, keepdims=True)
+    z[~(z > 0.0)] = 1.0
+    out /= z
+    return out
 
 
 def nll_fwd_bwd(logits, targets, mask):
@@ -84,12 +96,13 @@ def nll_fwd_bwd(logits, targets, mask):
     """
     n, _ = logits.shape
     m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    z = e.sum(axis=1, keepdims=True)
+    dlogits = logits - m
+    np.exp(dlogits, out=dlogits)
+    z = dlogits.sum(axis=1, keepdims=True)
     logz = (m + np.log(z))[:, 0]
     rows = np.arange(n)
     per_row = (logz - logits[rows, targets]) * mask
-    dlogits = e / z
+    dlogits /= z
     dlogits[rows, targets] -= 1.0
     dlogits *= mask[:, None]
     return float(per_row.sum()), dlogits

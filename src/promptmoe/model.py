@@ -11,11 +11,14 @@ prompt is a raw array or absent (eval, ``generate``): autodiff keeps a node's
 inputs only if a named leaf lies behind them.
 
 Greedy decoding runs through the same trunk with a ``KVCache``: one prefill
-over the right-padded [prompt | input] stores every layer's keys and values
-and applies the LM head only at each example's last real position, then each
-new token costs one single-position forward that attends over the stored
-slots. Cached keys and values enter the graph as constants, so a cached
-forward is for inference only.
+over the right-padded [prompt | input] stores every layer's keys and values,
+then each new token costs one single-position forward that attends over the
+stored slots. The prefill reads one row per example, its last real position,
+so its last layer is pruned to that row past the key/value projections: the
+query, attention, output projection, MLP, final layernorm and LM head run
+once per example, not once per position. Earlier layers run every row,
+because each feeds the next layer's keys and values. Cached keys and values
+enter the graph as constants, so a cached forward is for inference only.
 
 Tokenization is byte-level UTF-8: ids 0..255 are raw bytes, 256 is PAD and
 257 EOS. The stock model config keeps vocab_size=256 (bytes only); configs
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, GraphError, ShapeError
 
 PAD_ID = 256
 EOS_ID = 257
@@ -168,11 +171,10 @@ class ToyLM:
         return ad.add(ad.mul(t, cos), ad.mul(ad.rotate_half(t), sin))
 
     def _attention_allow(self, attn_mask, k):
+        """Boolean (b, 1, k+s, k+s) mask: causal, and no padded key."""
         b, s = attn_mask.shape
-        total = k + s
-        key_ok = np.concatenate([np.ones((b, k)), attn_mask], axis=1)
-        causal = np.tril(np.ones((total, total)))
-        return (causal[None, None, :, :] * key_ok[:, None, None, :]).astype(np.float64)
+        key_ok = np.concatenate([np.ones((b, k), dtype=bool), attn_mask > 0], axis=1)
+        return np.tri(k + s, dtype=bool)[None, None] & key_ok[:, None, None, :]
 
     def forward(self, prompt, input_embeds, attn_mask, cache=None):
         """Logits over the concatenated [prompt | input] sequence.
@@ -218,10 +220,20 @@ class ToyLM:
         x = ad.embedding(self._p("emb"), ids)
         return self._head(self._trunk(x, np.asarray(attn_mask, dtype=np.float64), 0))
 
-    def _trunk(self, x, attn_mask, k, cache=None):
-        """Hidden states after the final layernorm, (b, k+s, hidden)."""
+    def _trunk(self, x, attn_mask, k, cache=None, rows=None):
+        """Hidden states after the final layernorm, (b, k+s, hidden).
+
+        ``rows`` (b,) prunes an inference forward to one row per example:
+        the last layer still computes (and caches) keys and values at every
+        row, but runs the query, attention, output projection, MLP and the
+        final layernorm only at row ``rows[e]`` of example e, and the result
+        is (b, 1, hidden). The pruned rows are cut out of the graph, so
+        ``rows`` raises GraphError when a gradient could flow.
+        """
         b, total = x.value.shape[0], x.value.shape[1]
         h = self.cfg.hidden
+        if rows is not None and (x.active or not self.frozen):
+            raise GraphError("rows prunes an inference forward; it cannot carry a gradient")
         if cache is None:
             if total > self.cfg.max_seq:
                 raise ShapeError(f"sequence length {total} exceeds max_seq {self.cfg.max_seq}")
@@ -233,22 +245,32 @@ class ToyLM:
             x = ad.add(x, self._pos_rows(pos))
         rope_pos = pos if cache is None else pos[:, None]  # broadcast over heads
         heads, dh = self.cfg.heads, self.cfg.hidden // self.cfg.heads
+
+        def split_heads(t):
+            n = t.value.shape[1]
+            return ad.transpose(ad.reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
+
+        n = total
         for i in range(self.cfg.layers):
             ln1 = ad.layernorm(x, self._p(f"l{i}.ln1.g"), self._p(f"l{i}.ln1.b"))
-
-            def split_heads(t):
-                return ad.transpose(ad.reshape(t, (b, total, heads, dh)), (0, 2, 1, 3))
-
-            q = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wq")), self._p(f"l{i}.bq")))
             key = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wk")), self._p(f"l{i}.bk")))
             if self.cfg.rotary:
-                q, key = self._rope(q, rope_pos), self._rope(key, rope_pos)
+                key = self._rope(key, rope_pos)
             val = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wv")), self._p(f"l{i}.bv")))
             if cache is not None:
                 key, val = (ad.const(a) for a in cache.write(i, pos, key.value, val.value))
+            if rows is not None and i == self.cfg.layers - 1:
+                pick = (np.arange(b), rows)
+                x, ln1 = (ad.const(t.value[pick][:, None]) for t in (x, ln1))
+                allow = allow[np.arange(b), :, rows][:, :, None]
+                rope_pos = np.broadcast_to(pos, (b, total))[pick][:, None, None]
+                n = 1
+            q = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wq")), self._p(f"l{i}.bq")))
+            if self.cfg.rotary:
+                q = self._rope(q, rope_pos)
             scores = ad.scale(ad.matmul(q, ad.transpose(key, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
             probs = ad.masked_softmax(scores, allow)
-            ctx = ad.reshape(ad.transpose(ad.matmul(probs, val), (0, 2, 1, 3)), (b, total, h))
+            ctx = ad.reshape(ad.transpose(ad.matmul(probs, val), (0, 2, 1, 3)), (b, n, h))
             attn = ad.add(ad.matmul(ctx, self._p(f"l{i}.wo")), self._p(f"l{i}.bo"))
             x = ad.add(x, attn)
             ln2 = ad.layernorm(x, self._p(f"l{i}.ln2.g"), self._p(f"l{i}.ln2.b"))
@@ -303,9 +325,10 @@ class ToyLM:
 
         prompt is raw (b, k, h) or None and is kept fixed for the whole
         generation (routing happens once, upstream); token_ids and attn_mask
-        are right-padded. One prefill over [prompt | input] fills a KV cache
-        and heads only row k + len_e - 1 of each example, which gives its
-        first token. Every further token is one single-position forward in
+        are right-padded. One prefill over [prompt | input] fills a KV cache;
+        past the last layer's keys and values it runs only row k + len_e - 1
+        of each example, whose LM head gives the first token (``_trunk``'s
+        ``rows``). Every further token is one single-position forward in
         which example e writes at its own next slot, k + len_e onwards, so
         ragged rows are never re-padded. Returns a list of id lists, EOS
         excluded.
@@ -325,8 +348,7 @@ class ToyLM:
         # the last generated token is never fed back, so it needs no slot
         cache = KVCache(self.cfg, b, k + s + max_new - 1)
         x, attn, _ = self._inputs(prompt, self.embed(ids), attn)
-        hidden = self._trunk(x, attn, k, cache).value
-        logits = self._head(hidden[np.arange(b), k + lengths - 1][:, None]).value
+        logits = self._head(self._trunk(x, attn, k, cache, rows=k + lengths - 1)).value
         nxt = np.argmax(logits[:, 0], axis=-1)
         done = np.zeros(b, dtype=bool)
         out = [[] for _ in range(b)]
@@ -346,9 +368,10 @@ class KVCache:
     """Keys and values of every position a cached ``ToyLM.forward`` has run.
 
     Per layer, ``keys`` and ``values`` are (b, heads, capacity, dh) arrays
-    indexed by absolute position. ``valid`` (b, capacity) marks the slots
-    attention may read (0 on padding and on slots not yet written), and
-    ``next_pos`` (b,) is the position each example's next new row takes.
+    indexed by absolute position. The boolean ``valid`` (b, capacity) marks
+    the slots attention may read (False on padding and on slots not yet
+    written), and ``next_pos`` (b,) is the position each example's next new
+    row takes.
     """
 
     def __init__(self, cfg, batch, capacity):
@@ -357,15 +380,15 @@ class KVCache:
         shape = (batch, cfg.heads, capacity, cfg.hidden // cfg.heads)
         self.keys = [np.zeros(shape) for _ in range(cfg.layers)]
         self.values = [np.zeros(shape) for _ in range(cfg.layers)]
-        self.valid = np.zeros((batch, capacity))
+        self.valid = np.zeros((batch, capacity), dtype=bool)
         self.next_pos = np.zeros(batch, dtype=np.int64)
 
     def claim(self, key_ok):
         """Give n new rows per example their positions; returns (pos, allow).
 
         key_ok (b, n) is 1 on real rows and 0 on right padding. pos (b, n)
-        holds absolute positions; allow (b, 1, n, width) lets each row see
-        the valid slots at or before its own position.
+        holds absolute positions; the boolean allow (b, 1, n, width) lets
+        each row see the valid slots at or before its own position.
         """
         b, n = key_ok.shape
         if b != self.valid.shape[0]:
@@ -379,7 +402,7 @@ class KVCache:
         self.valid[np.arange(b)[:, None], pos] = key_ok
         self.next_pos = self.next_pos + key_ok.sum(axis=1).astype(np.int64)
         causal = np.arange(width) <= pos[:, :, None]
-        return pos, (causal * self.valid[:, None, :width])[:, None]
+        return pos, (causal & self.valid[:, None, :width])[:, None]
 
     def write(self, layer, pos, key, val):
         """Store (b, heads, n, dh) keys and values at pos; returns the slots up to pos.max()."""

@@ -7,6 +7,7 @@ uninterrupted run would have made, so trajectories match bitwise.
 """
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,12 +204,15 @@ def load_checkpoint(path, provider):
     """Restore provider arrays; returns (state, completed_step, seed).
 
     The stored arrays must carry exactly the names and shapes that this
-    provider and its optimizer state save. A checkpoint written under
-    another method or other shapes raises ConfigError before anything is
-    copied.
+    provider and its optimizer state save. A path that does not hold a
+    readable .npz archive, or a checkpoint written under another method or
+    other shapes, raises ConfigError before anything is copied.
     """
-    with np.load(path) as arrays:
-        data = {k: arrays[k] for k in arrays.files}
+    try:
+        with np.load(path) as arrays:
+            data = {k: arrays[k] for k in arrays.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as e:
+        raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
     state = AdamWState(provider.param_arrays())
     expected = {**provider.to_arrays(), **state.to_arrays(), "train.meta": np.zeros(2)}
     missing, unexpected = sorted(set(expected) - set(data)), sorted(set(data) - set(expected))

@@ -214,6 +214,25 @@ def test_fanout_into_view_adjoint_accumulates_out_of_place():
     assert np.array_equal(r.grad, w)
 
 
+def test_three_way_fanout_into_view_accumulates_in_place_only_into_its_own_sum():
+    # x's first adjoint is a view of r.grad; the second allocates a sum and the
+    # third is added into that sum, so no child's adjoint is ever written
+    x0 = np.arange(6.0).reshape(2, 3)
+    w = np.arange(6.0).reshape(3, 2) + 1.0
+    x = ad.leaf(x0, "x")
+    r = ad.reshape(x, (3, 2))
+    sq = ad.mul(x, x)
+    lin = ad.scale(x, 3.0)
+    loss = ad.add(
+        ad.add(ad.sum_all(ad.mul(r, ad.const(w))), ad.sum_all(sq)), ad.sum_all(lin)
+    )
+    grads = ad.backward(loss)
+    assert np.array_equal(grads["x"], w.reshape(2, 3) + 2.0 * x0 + 3.0)
+    assert np.array_equal(r.grad, w)
+    assert np.array_equal(sq.grad, np.ones((2, 3)))
+    assert np.array_equal(lin.grad, np.ones((2, 3)))
+
+
 def test_quadratic_gradient_is_identity():
     a = np.array([[1.0, -2.0], [0.5, 3.0]])
     x = ad.leaf(a, "a")
@@ -286,3 +305,118 @@ def test_finite_diff_check_constant_function():
         return ad.sum_all(ad.mul(x, ad.const(np.zeros(4))))
 
     assert ad.finite_diff_check(f, {"x": np.ones(4)}) <= 1e-12
+
+
+# ---------------------------------------------------------------- oracles
+#
+# The formulas gelu, layernorm and masked_softmax had before they became
+# copy-free and in place. The rewrite keeps every floating-point operation
+# and its order, so forward values and adjoints must be bitwise equal.
+
+_C = np.sqrt(2.0 / np.pi)
+
+
+def oracle_gelu(v, g):
+    inner = _C * (v + 0.044715 * (v * v * v))
+    t = np.tanh(inner)
+    out = 0.5 * v * (1.0 + t)
+    dinner = _C * (1.0 + 3 * 0.044715 * (v * v))
+    dv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * dinner
+    return out, g * dv
+
+
+def oracle_layernorm(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = xhat * gain + bias
+    gdot = g * gain
+    dx = inv * (
+        gdot
+        - gdot.mean(axis=-1, keepdims=True)
+        - xhat * (gdot * xhat).mean(axis=-1, keepdims=True)
+    )
+    dgain, dbias = g * xhat, g
+    while dgain.ndim > 1:  # _unbroadcast's order: sum out leading axes one at a time
+        dgain, dbias = dgain.sum(axis=0), dbias.sum(axis=0)
+    return out, dx, dgain, dbias
+
+
+def oracle_masked_softmax_vjp(s, g):
+    dot = (g * s).sum(axis=-1, keepdims=True)
+    return s * (g - dot)
+
+
+def op_inputs(seed):
+    """Random inputs with outliers, and a non-contiguous view of them."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, 5, 8)) * 3
+    x[0, 0, :2] = [40.0, -40.0]  # tanh saturates, variance is large
+    return [x, x.transpose(1, 0, 2)]
+
+
+def test_gelu_matches_pre_change_oracle():
+    # a dense sweep too: a reordered product changes the last bit only now and then
+    sweep = np.random.default_rng(30).uniform(-8.0, 8.0, size=(100, 200))
+    for x in op_inputs(31) + [sweep]:
+        g = np.random.default_rng(32).normal(size=x.shape)
+        node = ad.gelu(ad.leaf(x, "x"))
+        want_out, want_dx = oracle_gelu(x, g)
+        assert np.array_equal(node.value, want_out)
+        assert np.array_equal(node.vjp(g)[0], want_dx)
+
+
+def test_layernorm_matches_pre_change_oracle():
+    rng = np.random.default_rng(33)
+    gain, bias = 1.0 + 0.1 * rng.normal(size=8), 0.1 * rng.normal(size=8)
+    for x in op_inputs(34) + [np.full((2, 8), 7.0)]:  # constant rows: var = 0
+        g = rng.normal(size=x.shape)
+        node = ad.layernorm(ad.leaf(x, "x"), ad.leaf(gain, "g"), ad.leaf(bias, "b"))
+        want_out, want_dx, want_dg, want_db = oracle_layernorm(x, gain, bias, g)
+        dx, dg, db = node.vjp(g)
+        assert np.array_equal(node.value, want_out)
+        assert np.array_equal(dx, want_dx)
+        assert np.array_equal(dg, want_dg)
+        assert np.array_equal(db, want_db)
+
+
+def test_masked_softmax_vjp_matches_pre_change_oracle():
+    rng = np.random.default_rng(35)
+    scores = rng.normal(size=(3, 2, 5, 7)) * 4
+    allow = np.tri(5, 7, 2, dtype=bool) & (rng.random((3, 1, 1, 7)) > 0.3)
+    allow[1, 0, 2] = False  # an all-masked row
+    for x in (scores, scores.transpose(0, 1, 3, 2)[..., :5]):
+        valid = allow if x is scores else np.tri(7, 5, dtype=bool)
+        node = ad.masked_softmax(ad.leaf(x, "x"), valid)
+        g = rng.normal(size=x.shape)
+        assert np.array_equal(node.vjp(g)[0], oracle_masked_softmax_vjp(node.value, g))
+
+
+def test_ops_write_into_no_input_and_no_adjoint():
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(4, 3, 8)) * 2
+    gain, bias = 1.0 + 0.1 * rng.normal(size=8), 0.1 * rng.normal(size=8)
+    w = rng.normal(size=(8, 5))
+    valid = np.tri(3, 8, 5, dtype=bool)[None]
+    targets = rng.integers(0, 8, size=(4, 3))
+    mask = (rng.random((4, 3)) > 0.3).astype(np.float64)
+    cases = {
+        "gelu": lambda a: ad.gelu(a[0]),
+        "layernorm": lambda a: ad.layernorm(a[0], a[1], a[2]),
+        "masked_softmax": lambda a: ad.masked_softmax(a[0], valid),
+        "masked_nll": lambda a: ad.masked_nll(a[0], targets, mask)[0],
+        "rotate_half": lambda a: ad.rotate_half(a[0]),
+        "matmul": lambda a: ad.matmul(a[4], a[3]),  # the one-gemm (b, 1, h) path
+    }
+    values = (x, gain, bias, w, x[:, :1].copy())
+    for name, op in cases.items():
+        leaves = [ad.leaf(v.copy(), f"p{i}") for i, v in enumerate(values)]
+        out = op(leaves)
+        g = rng.normal(size=out.value.shape)
+        g_before = g.copy()
+        parts = out.vjp(g)
+        assert any(p is not None for p in parts), name
+        for leaf, v in zip(leaves, values):
+            assert np.array_equal(leaf.value, v), name
+        assert np.array_equal(g, g_before), name

@@ -65,11 +65,16 @@ def test_missing_config_file_is_exit_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_checkpoint_path_is_not_config_error(tiny_config, tmp_path):
-    # missing checkpoint file raises an OS error, not a mapped exit code
-    with pytest.raises(FileNotFoundError):
-        run_cli("eval", "--config", tiny_config, "--checkpoint",
-                str(tmp_path / "none.npz"), "--cache-dir", str(tmp_path / "c"))
+def test_bad_checkpoint_path_is_exit_2(tiny_config, tmp_path, capsys):
+    # a missing file, a directory and a file that is no .npz archive
+    garbage = tmp_path / "garbage.npz"
+    garbage.write_bytes(b"not an archive")
+    for path in (tmp_path / "none.npz", tmp_path, garbage):
+        for command in ("eval", "inspect-routing"):
+            assert run_cli(command, "--config", tiny_config, "--checkpoint", str(path),
+                           "--cache-dir", str(tmp_path / "c")) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and str(path) in err
 
 
 def test_train_then_eval_and_inspect(tiny_config, tmp_path, capsys):

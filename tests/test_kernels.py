@@ -122,3 +122,79 @@ def test_jacobi_diagonalizes_random_symmetric(impl):
     # V diag(A) V^T reconstructs G and V is orthogonal
     assert np.allclose(v @ np.diag(np.diag(a)) @ v.T, g, atol=1e-12)
     assert np.allclose(v.T @ v, np.eye(10), atol=1e-12)
+
+
+# ---------------------------------------------------------------- oracles
+#
+# The formulas the kernels had before they became copy-free and in place.
+# The rewrite keeps every floating-point operation and its order, so the
+# results must be bitwise equal, not merely close.
+
+
+def oracle_masked_softmax(scores, valid):
+    flat = scores.reshape(-1, scores.shape[-1])
+    vflat = np.broadcast_to(np.asarray(valid, dtype=np.float64), scores.shape).reshape(flat.shape)
+    neg = np.where(vflat, flat, -np.inf)
+    m = neg.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(neg - m)
+    z = e.sum(axis=-1, keepdims=True)
+    z = np.where(z > 0.0, z, 1.0)
+    return (e / z).reshape(scores.shape)
+
+
+def oracle_nll_fwd_bwd(logits, targets, mask):
+    n, _ = logits.shape
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    z = e.sum(axis=1, keepdims=True)
+    logz = (m + np.log(z))[:, 0]
+    rows = np.arange(n)
+    per_row = (logz - logits[rows, targets]) * mask
+    dlogits = e / z
+    dlogits[rows, targets] -= 1.0
+    dlogits *= mask[:, None]
+    return float(per_row.sum()), dlogits
+
+
+def softmax_cases():
+    """(scores, boolean mask) pairs: N-d, broadcast masks, outliers, all-masked rows."""
+    rng = np.random.default_rng(21)
+    scores = rng.normal(size=(3, 2, 5, 7)) * 4
+    causal = np.tri(5, 7, 2, dtype=bool)
+    key_ok = rng.random((3, 1, 1, 7)) > 0.3
+    allow = causal & key_ok  # (3, 1, 5, 7), broadcast over the head axis
+    allow[1, 0, 2] = False  # an all-masked row in both heads
+    outliers = np.where(allow, scores, 1000.0)  # masked entries far above the valid max
+    yield scores, allow
+    yield outliers, allow
+    yield scores, key_ok  # a mask broadcast over heads and rows
+    yield scores[0, 0], causal  # 2-D
+    yield scores, rng.random(scores.shape) > 0.5  # full shape, scattered
+    yield scores.transpose(0, 1, 3, 2)[..., :5], np.tri(7, 5, dtype=bool)  # non-contiguous
+
+
+def test_masked_softmax_matches_pre_change_oracle():
+    for scores, valid in softmax_cases():
+        before = scores.copy()
+        got = kernels.masked_softmax(scores, valid)
+        assert np.array_equal(got, oracle_masked_softmax(scores, valid))
+        assert np.array_equal(scores, before)
+        # all-masked rows come back as zeros
+        dead = ~np.broadcast_to(valid, scores.shape).any(axis=-1)
+        assert np.all(got[dead] == 0.0)
+
+
+def test_nll_fwd_bwd_matches_pre_change_oracle():
+    rng = np.random.default_rng(22)
+    for n, v in ((1, 3), (9, 13), (40, 258)):
+        logits = rng.normal(size=(n, v)) * 5
+        logits[0, 0] = 700.0  # a large logit must not overflow
+        targets = rng.integers(0, v, size=n)
+        mask = (rng.random(n) > 0.3).astype(np.float64)
+        before = logits.copy()
+        loss, dlogits = kernels.nll_fwd_bwd(logits, targets, mask)
+        want_loss, want_d = oracle_nll_fwd_bwd(logits, targets, mask)
+        assert loss == want_loss
+        assert np.array_equal(dlogits, want_d)
+        assert np.array_equal(logits, before)

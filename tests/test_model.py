@@ -3,7 +3,7 @@ import pytest
 
 from promptmoe import autodiff as ad
 from promptmoe import model as m
-from promptmoe.errors import ConfigError, DataError, ShapeError
+from promptmoe.errors import ConfigError, DataError, GraphError, ShapeError
 from promptmoe.linalg import RngStream
 
 
@@ -437,6 +437,55 @@ def test_frozen_prompt_gradient_equals_unfrozen():
     g_frozen, g_unfrozen = grads(frozen), grads(unfrozen)
     assert set(g_frozen) == {"prompt"} and "lm.l0.wq" in g_unfrozen
     assert np.array_equal(g_frozen["prompt"], g_unfrozen["prompt"])
+
+
+@pytest.mark.parametrize("rotary", [True, False])
+@pytest.mark.parametrize("k", [0, 3])
+def test_pruned_prefill_matches_unpruned_rows_and_cache(rotary, k):
+    lm = make_lm(hidden=32, heads=4, seed=6, rotary=rotary)
+    ids = RAGGED_IDS
+    attn = (ids != m.PAD_ID).astype(float)
+    prompt = np.random.default_rng(3).normal(size=(len(ids), k, 32)) if k else None
+    rows = k + attn.sum(axis=1).astype(int) - 1
+    picked = np.arange(len(ids)), rows
+
+    def trunk(cache, **kw):
+        x, mask, _ = lm._inputs(prompt, lm.embed(ids), attn)
+        return lm._trunk(x, mask, k, cache, **kw).value
+
+    # uncached, then a prefill into a cache followed by one cached step
+    full = trunk(None)
+    np.testing.assert_allclose(trunk(None, rows=rows)[:, 0], full[picked], rtol=0, atol=1e-12)
+    caches = [m.KVCache(lm.cfg, len(ids), k + ids.shape[1] + 1) for _ in range(2)]
+    full = trunk(caches[0])
+    pruned = trunk(caches[1], rows=rows)
+    assert pruned.shape == (len(ids), 1, 32)
+    np.testing.assert_allclose(pruned[:, 0], full[picked], rtol=0, atol=1e-12)
+    full_cache, pruned_cache = caches
+    for layer in range(lm.cfg.layers):
+        assert np.array_equal(pruned_cache.keys[layer], full_cache.keys[layer])
+        assert np.array_equal(pruned_cache.values[layer], full_cache.values[layer])
+    assert np.array_equal(pruned_cache.valid, full_cache.valid)
+    assert np.array_equal(pruned_cache.next_pos, full_cache.next_pos)
+    # so the next cached step reads the same slots
+    steps = [
+        lm.forward(None, lm.embed(np.full((len(ids), 1), 70)), np.ones((len(ids), 1)), cache=c)
+        for c in caches
+    ]
+    assert np.array_equal(steps[0].value, steps[1].value)
+
+
+def test_pruned_trunk_refuses_a_gradient():
+    ids = RAGGED_IDS[:2]
+    attn = (ids != m.PAD_ID).astype(float)
+    rows = np.array([4, 1])
+    frozen = make_lm()
+    active = ad.leaf(frozen.embed(ids), "x")
+    with pytest.raises(GraphError):
+        frozen._trunk(active, attn, 0, rows=rows)
+    unfrozen = make_lm(frozen=False)
+    with pytest.raises(GraphError):
+        unfrozen._trunk(ad.const(unfrozen.embed(ids)), attn, 0, rows=rows)
 
 
 def test_kv_cache_rejects_left_padding_and_overflow():
