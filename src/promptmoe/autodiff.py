@@ -91,23 +91,6 @@ def add(a, b):
     return Node(out, (a, b), vjp)
 
 
-def sub(a, b):
-    a, b = as_node(a), as_node(b)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, a.value.shape) if a.active else None,
-            _unbroadcast(-g, b.value.shape) if b.active else None,
-        )
-
-    return Node(a.value - b.value, (a, b), vjp)
-
-
-def neg(a):
-    a = as_node(a)
-    return Node(-a.value, (a,), lambda g: (-g,))
-
-
 def rotate_half(a):
     """[x1, x2] -> [-x2, x1] over the halves of the last axis (rotary attention).
 

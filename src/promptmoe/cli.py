@@ -141,8 +141,8 @@ def cmd_sweep(args):
 def cmd_inspect_routing(args):
     rc = _load_config(args.config)
     provider, lm, _, _, _ = _provider_for(args, rc)
-    if getattr(provider, "w", None) is None:
-        raise ConfigError(f"{provider.kind} has no router to inspect")
+    if provider.router is None:
+        raise ConfigError(f"{provider.cfg.kind} has no router to inspect")
     if args.data:
         examples = dt.load_jsonl(args.data)
     else:
@@ -155,7 +155,7 @@ def cmd_inspect_routing(args):
         batch = dt.build_input_batch(chunk)
         _, decisions = provider.prompt_node(lm, batch, training=False)
         for ex, dec in zip(chunk, decisions):
-            row = counts.setdefault(ex.task, np.zeros(provider.w.shape[0], dtype=np.int64))
+            row = counts.setdefault(ex.task, np.zeros(provider.stack.shape[0], dtype=np.int64))
             row[dec.selected[0]] += 1
             if len(rows) < args.limit:
                 rows.append((ex.id, ex.task, dec.selected, np.round(dec.weights, 4)))

@@ -55,20 +55,14 @@ def eval_dataset(
     Examples whose prompt+input+generation budget cannot fit max_seq are
     skipped and counted, never silently dropped. Returns a JSON-able report.
     """
-    n_experts = getattr(provider, "w", None)
-    n_experts = None if n_experts is None else n_experts.shape[0]
-    expert_counts = None if n_experts is None else np.zeros(n_experts, dtype=np.int64)
-    expert_task = {} if n_experts is not None else None
+    routed = provider.router is not None
+    n_experts = provider.stack.shape[0]
+    expert_counts = np.zeros(n_experts, dtype=np.int64) if routed else None
+    expert_task = {} if routed else None
 
-    # prompt length is input-independent per provider kind; probe once
     kept, skipped = [], 0
-    if examples:
-        probe = dt.build_input_batch([examples[0]])
-        k = provider.prompt_node(lm, probe, training=False)[0].value.shape[1]
-    else:
-        k = 0
     for ex in examples:
-        need = k + len(dt.encode_example(ex)[0]) + _gen_budget(ex, max_new)
+        need = provider.prompt_length + len(dt.encode_example(ex)[0]) + _gen_budget(ex, max_new)
         if need > lm.cfg.max_seq:
             skipped += 1
         else:

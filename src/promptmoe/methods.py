@@ -1,18 +1,20 @@
-"""The four prompt-side methods behind a single provider interface.
+"""The four prompt-side methods as one provider.
 
-* PT: one dense t x h prompt, input-independent.
-* DPT: the decomposed prompt (a @ b) with a single expert and no router.
-* SMOP: n full-rank prompts of length t/n each; a router picks one whole
-  prompt per example.
-* PT_MOE: n low-rank factors sharing one projection; the router mixes the
-  factors, then the shared projection maps to model width.
+PT-MoE adds two parts to prompt tuning: a decomposition (n expert factors
+sharing one projection) and a router that mixes the factors per example.
+Each other method is PT-MoE with parts switched off:
+
+* PT: one dense t x h prompt; no decomposition, no router.
+* DPT: one t x r factor and the shared r x h projection; no router.
+* SMOP: n full-width prompts of length t/n; a router picks one per example.
+* PT_MOE: n t x r factors mixed by the router, then the shared projection.
 
 A provider owns its trainable arrays (the trainer updates them in place),
-knows its parameter count, and can compute the per-example prompt node for
-a batch, recording routing decisions where a router exists.
+and computes the per-example prompt node for a batch, recording routing
+decisions where a router exists.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from . import autodiff as ad
 from . import model as lm_mod
 from . import prompt_bank as pb
 from . import router as rt
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .linalg import mean_rows
 
 KINDS = ("PT", "DPT", "SMOP", "PT_MOE")
@@ -84,195 +86,73 @@ def init_text_embeddings(lm, text, t):
     return lm.embed(np.array([cycled]))[0]
 
 
-class _RoutedMixin:
-    """Routing plumbing shared by SMOP and PT_MOE providers."""
+class Provider:
+    """One prompt provider for all four methods.
 
-    def router_params(self):
-        return rt.RouterParams(
-            w=self.w,
-            b=self.b,
-            sigma=self.cfg.sigma,
-            k=self.cfg.k,
-            selective=self.cfg.selective,
-            probationary=self.cfg.probationary,
-        )
+    ``stack`` is an (n, t', w) expert stack; ``proj`` an optional shared
+    (r, h) projection (DPT, PT_MOE, where w = r); ``router`` optional
+    RouterParams (SMOP, PT_MOE). Without a router every example weights
+    its single expert by 1.
+    """
 
-    def _mu(self, lm, batch):
-        return mean_rows(lm.embed(batch.token_ids), batch.attn_mask)
-
-    def _weights(self, lm, batch, rng, training, forced):
-        w_node = ad.leaf(self.w, "router.W")
-        b_node = ad.leaf(self.b, "router.b")
-        return rt.route_batch(
-            self._mu(lm, batch),
-            w_node,
-            b_node,
-            self.router_params(),
-            rng=rng,
-            training=training,
-            forced=forced,
-        )
-
-
-class PTProvider:
-    kind = "PT"
-
-    def __init__(self, cfg, prompt):
+    def __init__(self, cfg, stack, proj=None, router=None):
         self.cfg = cfg
-        self.prompt = np.array(prompt, dtype=np.float64)
+        self.stack = stack
+        self.proj = proj
+        self.router = router
+        self.stack_name = {"PT": "pt.P", "SMOP": "smop.P"}.get(cfg.kind, "bank.A")
+
+    @property
+    def prompt_length(self):
+        return self.stack.shape[1]
 
     def param_arrays(self):
-        return {"pt.P": self.prompt}
-
-    def param_count(self):
-        return self.prompt.size
-
-    def prompt_node(self, lm, batch, rng=None, training=False, forced=None):
-        node = ad.leaf(self.prompt, "pt.P")
-        ones = np.ones((batch.size, 1))
-        tiled = ad.expert_mix(ad.const(ones), ad.reshape(node, (1,) + self.prompt.shape))
-        return tiled, None
-
-    def to_arrays(self):
-        return {"pt.P": self.prompt}
-
-    def load_arrays(self, arrays):
-        self.prompt[...] = arrays["pt.P"]
-
-
-class DPTProvider:
-    kind = "DPT"
-
-    def __init__(self, cfg, bank):
-        if bank.n != 1:
-            raise ConfigError(f"DPT is single-expert, got bank with n={bank.n}")
-        self.cfg = cfg
-        self.bank = bank
-
-    def param_arrays(self):
-        return {"bank.A": self.bank.a, "bank.B": self.bank.b_shared}
-
-    def param_count(self):
-        return self.bank.param_count(with_router=False)
-
-    def prompt_node(self, lm, batch, rng=None, training=False, forced=None):
-        a = ad.leaf(self.bank.a, "bank.A")
-        b_sh = ad.leaf(self.bank.b_shared, "bank.B")
-        ones = np.ones((batch.size, 1))
-        mixed = ad.expert_mix(ad.const(ones), a)
-        return ad.matmul(mixed, b_sh), None
-
-    def to_arrays(self):
-        return self.bank.to_arrays()
-
-    def load_arrays(self, arrays):
-        loaded = pb.PromptBank.from_arrays(arrays)
-        self.bank.a[...] = loaded.a
-        self.bank.b_shared[...] = loaded.b_shared
-
-
-class SMoPProvider(_RoutedMixin):
-    kind = "SMOP"
-
-    def __init__(self, cfg, prompts, w, b):
-        self.cfg = cfg
-        self.prompts = np.array(prompts, dtype=np.float64)  # (n, t/n, h)
-        self.w = np.array(w, dtype=np.float64)
-        self.b = np.array(b, dtype=np.float64)
-        if self.prompts.shape[0] != cfg.num_experts:
-            raise ShapeError(
-                f"SMOP prompt stack {self.prompts.shape} does not match "
-                f"{cfg.num_experts} experts"
-            )
-
-    def param_arrays(self):
-        return {"smop.P": self.prompts, "router.W": self.w, "router.b": self.b}
-
-    def param_count(self):
-        return self.prompts.size + self.w.size + self.b.size
-
-    def prompt_node(self, lm, batch, rng=None, training=False, forced=None):
-        weights, decisions = self._weights(lm, batch, rng, training, forced)
-        stack = ad.leaf(self.prompts, "smop.P")
-        return ad.expert_mix(weights, stack), decisions
-
-    def to_arrays(self):
-        return {
-            "smop.P": self.prompts,
-            "router.W": self.w,
-            "router.b": self.b,
-            "header": np.array(self.prompts.shape, dtype=np.int64),
-        }
-
-    def load_arrays(self, arrays):
-        self.prompts[...] = arrays["smop.P"]
-        self.w[...] = arrays["router.W"]
-        self.b[...] = arrays["router.b"]
-
-
-class PTMoEProvider(_RoutedMixin):
-    kind = "PT_MOE"
-
-    def __init__(self, cfg, bank, w, b):
-        self.cfg = cfg
-        self.bank = bank
-        self.w = np.array(w, dtype=np.float64)
-        self.b = np.array(b, dtype=np.float64)
-        if self.w.shape != (bank.n, bank.h):
-            raise ShapeError(
-                f"router w {self.w.shape} does not match bank ({bank.n}, {bank.h})"
-            )
-
-    def param_arrays(self):
-        return {
-            "bank.A": self.bank.a,
-            "bank.B": self.bank.b_shared,
-            "router.W": self.w,
-            "router.b": self.b,
-        }
-
-    def param_count(self):
-        return self.bank.param_count(with_router=False) + self.w.size + self.b.size
-
-    def prompt_node(self, lm, batch, rng=None, training=False, forced=None):
-        weights, decisions = self._weights(lm, batch, rng, training, forced)
-        a = ad.leaf(self.bank.a, "bank.A")
-        b_sh = ad.leaf(self.bank.b_shared, "bank.B")
-        mixed = ad.expert_mix(weights, a)  # weighted factor sum first
-        return ad.matmul(mixed, b_sh), decisions  # then one shared projection
-
-    def to_arrays(self):
-        out = self.bank.to_arrays()
-        out["router.W"] = self.w
-        out["router.b"] = self.b
+        out = {self.stack_name: self.stack}
+        if self.proj is not None:
+            out["bank.B"] = self.proj
+        if self.router is not None:
+            out.update({"router.W": self.router.w, "router.b": self.router.b})
         return out
 
-    def load_arrays(self, arrays):
-        loaded = pb.PromptBank.from_arrays(arrays)
-        self.bank.a[...] = loaded.a
-        self.bank.b_shared[...] = loaded.b_shared
-        self.w[...] = arrays["router.W"]
-        self.b[...] = arrays["router.b"]
+    def param_count(self):
+        return sum(a.size for a in self.param_arrays().values())
+
+    def prompt_node(self, lm, batch, rng=None, training=False, forced=None):
+        """(b, t', h) prompt node and the routing decisions (None without a router)."""
+        if self.router is None:
+            weights, decisions = ad.const(np.ones((batch.size, 1))), None
+        else:
+            weights, decisions = rt.route_batch(
+                mean_rows(lm.embed(batch.token_ids), batch.attn_mask),
+                ad.leaf(self.router.w, "router.W"),
+                ad.leaf(self.router.b, "router.b"),
+                self.router,
+                rng=rng,
+                training=training,
+                forced=forced,
+            )
+        mixed = ad.expert_mix(weights, ad.leaf(self.stack, self.stack_name))  # weighted sum first
+        if self.proj is None:
+            return mixed, decisions
+        return ad.matmul(mixed, ad.leaf(self.proj, "bank.B")), decisions  # one shared projection
 
 
 def build(cfg, lm, rng):
     """Instantiate a provider with its initialization text baked in."""
-    t, h = cfg.prompt_length, lm.cfg.hidden
+    t, h, n = cfg.prompt_length, lm.cfg.hidden, cfg.num_experts
     e = init_text_embeddings(lm, cfg.init_text, t)
-    if cfg.kind == "PT":
-        return PTProvider(cfg, e)
-    if cfg.kind == "DPT":
-        bank = pb.init_from_embeddings(e, n=1, r=cfg.resolve_rank(h))
-        return DPTProvider(cfg, bank)
-    if cfg.kind == "SMOP":
-        n = cfg.num_experts
-        span = t // n
-        prompts = np.stack([e[i * span : (i + 1) * span] for i in range(n)])
+    proj = router = None
+    if cfg.kind in ("PT", "SMOP"):
+        stack = np.array(e.reshape(n, t // n, h))  # SMOP: n consecutive spans of t/n rows
+    else:
+        stack, proj = pb.init_from_embeddings(e, n=n, r=cfg.resolve_rank(h))
+    if cfg.kind in ("SMOP", "PT_MOE"):
         w, b = rt.init_router(n, h, rng.child("router"), w_std=cfg.router_w_std)
-        return SMoPProvider(cfg, prompts, w, b)
-    bank = pb.init_from_embeddings(e, n=cfg.num_experts, r=cfg.resolve_rank(h))
-    w, b = rt.init_router(cfg.num_experts, h, rng.child("router"), w_std=cfg.router_w_std)
-    return PTMoEProvider(cfg, bank, w, b)
+        router = rt.RouterParams(
+            w=w, b=b, sigma=cfg.sigma, k=cfg.k,
+            selective=cfg.selective, probationary=cfg.probationary,
+        )
+    return Provider(cfg, stack, proj, router)
 
 
 def loss_on_batch(provider, lm, batch, rng=None, training=False, forced=None):

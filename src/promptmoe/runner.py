@@ -19,7 +19,6 @@ from . import evaluate as ev
 from . import methods as mt
 from . import pretrain as pt
 from . import trainer as tr
-from .errors import ConfigError
 from .linalg import RngStream
 
 FINAL_LOSS_WINDOW = 25  # steps averaged to report the end-of-run loss
@@ -56,11 +55,8 @@ def run_training(
     provider = mt.build(rc.method, lm, RngStream(cfg.seed).child("method"))
     train_ds, test_id, test_ood = build_datasets(rc.data)
 
-    prompt_len = rc.method.prompt_length
-    if rc.method.kind == "SMOP":
-        prompt_len //= rc.method.num_experts
     batch_fn = dt.make_batch_fn(
-        train_ds, cfg.batch_size, cfg.seed, max_seq=lm.cfg.max_seq - prompt_len
+        train_ds, cfg.batch_size, cfg.seed, max_seq=lm.cfg.max_seq - provider.prompt_length
     )
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl") if out_dir else None
@@ -95,9 +91,7 @@ def run_training(
         "loss_reduction": 1.0 - final / initial if initial else 0.0,
         "report": report,
         "losses": losses,
-        "expert_totals": None
-        if result.expert_totals is None
-        else result.expert_totals.tolist(),
+        "expert_totals": result.expert_totals.tolist(),
     }
     if out_dir:
         tr.save_checkpoint(
@@ -116,15 +110,3 @@ def load_provider(rc, checkpoint_path, cache_dir=".cache"):
     provider = mt.build(rc.method, lm, RngStream(rc.train.seed).child("method"))
     state, step, seed = tr.load_checkpoint(checkpoint_path, provider)
     return provider, lm, state, step, seed
-
-
-def assert_budget_match(h, tolerance=0.08):
-    """All four methods must land within tolerance of the common target."""
-    rows = mt.budget_table(h)
-    for kind, count, label, target, rel in rows:
-        if abs(rel) > tolerance:
-            raise ConfigError(
-                f"{kind} lands at {count} params, {rel:+.1%} from the "
-                f"{target:.0f} target at h={h}"
-            )
-    return rows

@@ -8,7 +8,7 @@ uninterrupted run would have made, so trajectories match bitwise.
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class TrainConfig:
     lr: float = 2e-5
     grad_accum: int = 2
     seed: int = 0
-    eval_every: int = 0  # 0 disables periodic eval
     weight_decay: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -103,24 +102,14 @@ class TrainResult:
     metrics: list
     state: AdamWState
     steps_done: int
-    expert_totals: np.ndarray = field(default=None)
+    expert_totals: np.ndarray
 
 
-def train(
-    provider,
-    lm,
-    cfg,
-    batch_fn,
-    eval_fn=None,
-    metrics_path=None,
-    start_step=0,
-    state=None,
-):
+def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=None):
     """Run optimizer steps start_step+1 .. cfg.steps.
 
     ``batch_fn(step, micro)`` must be a pure function of its arguments so
-    resumed runs replay the identical data order. ``eval_fn(step)`` fires
-    every cfg.eval_every steps and once at the end.
+    resumed runs replay the identical data order.
     """
     params = provider.param_arrays()
     if sum(p.size for p in params.values()) == 0:
@@ -129,8 +118,8 @@ def train(
         state = AdamWState(params)
     root = RngStream(cfg.seed)
     base_hash = lm.param_hash()
-    n_experts = getattr(provider, "w", np.zeros((0, 0))).shape[0]
-    expert_totals = np.zeros(max(n_experts, 1))
+    n_experts = provider.stack.shape[0]
+    expert_totals = np.zeros(n_experts)
 
     metrics = []
     sink = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
@@ -139,7 +128,7 @@ def train(
             accum = {}
             loss_total = 0.0
             token_total = 0
-            step_counts = np.zeros(max(n_experts, 1))
+            step_counts = np.zeros(n_experts)
             for micro in range(cfg.grad_accum):
                 batch = batch_fn(step, micro)
                 noise_rng = root.child("noise", step, micro)
@@ -179,23 +168,16 @@ def train(
             metrics.append(record)
             if sink:
                 sink.write(json.dumps(record) + "\n")
-            if eval_fn and cfg.eval_every and step % cfg.eval_every == 0:
-                if lm.param_hash() != base_hash:
-                    raise NumericalError("frozen base model changed during training")
-                eval_fn(step)
     finally:
         if sink:
             sink.close()
     if lm.param_hash() != base_hash:
         raise NumericalError("frozen base model changed during training")
-    if eval_fn and (not cfg.eval_every or cfg.steps % cfg.eval_every != 0):
-        eval_fn(cfg.steps)
     return TrainResult(metrics, state, cfg.steps, expert_totals)
 
 
 def save_checkpoint(path, provider, state, step, cfg):
-    arrays = dict(provider.to_arrays())
-    arrays.update(state.to_arrays())
+    arrays = {**provider.param_arrays(), **state.to_arrays()}
     arrays["train.meta"] = np.array([step, cfg.seed], dtype=np.int64)
     np.savez(path, **arrays)
 
@@ -213,12 +195,13 @@ def load_checkpoint(path, provider):
             data = {k: arrays[k] for k in arrays.files}
     except (OSError, ValueError, zipfile.BadZipFile) as e:
         raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
-    state = AdamWState(provider.param_arrays())
-    expected = {**provider.to_arrays(), **state.to_arrays(), "train.meta": np.zeros(2)}
+    params = provider.param_arrays()
+    state = AdamWState(params)
+    expected = {**params, **state.to_arrays(), "train.meta": np.zeros(2)}
     missing, unexpected = sorted(set(expected) - set(data)), sorted(set(data) - set(expected))
     if missing or unexpected:
         raise ConfigError(
-            f"checkpoint {path} does not fit the configured {provider.kind} provider: "
+            f"checkpoint {path} does not fit the configured {provider.cfg.kind} provider: "
             f"missing arrays {missing}, unexpected arrays {unexpected}"
         )
     for name, want in expected.items():
@@ -227,7 +210,8 @@ def load_checkpoint(path, provider):
                 f"checkpoint {path}: array {name!r} has shape {data[name].shape}, "
                 f"the config expects {want.shape}"
             )
-    provider.load_arrays(data)
+    for name, p in params.items():
+        p[...] = data[name]
     state.load_arrays(data)
     step, seed = (int(x) for x in data["train.meta"])
     return state, step, seed

@@ -101,8 +101,8 @@ def test_gradients_all_routing_modes(capsys):
         )
         provider = mt.build(mcfg, lm, RngStream(22).child("method"))
         jit = np.random.default_rng(5)
-        provider.bank.a += jit.normal(0.0, 0.05, provider.bank.a.shape)
-        provider.w += jit.normal(0.0, 0.05, provider.w.shape)
+        provider.stack += jit.normal(0.0, 0.05, provider.stack.shape)
+        provider.router.w += jit.normal(0.0, 0.05, provider.router.w.shape)
         ids = np.array([[97, 98, 10, 99, 100], [49, 50, 10, 51, 52]], dtype=np.int64)
         batch = Batch(
             token_ids=ids,
@@ -112,21 +112,14 @@ def test_gradients_all_routing_modes(capsys):
         _, _, decisions = mt.loss_on_batch(provider, lm, batch, training=False)
 
         def f(arrs):
-            provider.bank.a[...] = arrs["bank.A"]
-            provider.bank.b_shared[...] = arrs["bank.B"]
-            provider.w[...] = arrs["router.W"]
-            provider.b[...] = arrs["router.b"]
+            for name, p in provider.param_arrays().items():
+                p[...] = arrs[name]
             loss, count, _ = mt.loss_on_batch(
                 provider, lm, batch, training=False, forced=decisions
             )
             return ad.scale(loss, 1.0 / count)
 
-        params = {
-            "bank.A": provider.bank.a.copy(),
-            "bank.B": provider.bank.b_shared.copy(),
-            "router.W": provider.w.copy(),
-            "router.b": provider.b.copy(),
-        }
+        params = {name: p.copy() for name, p in provider.param_arrays().items()}
         mode = f"{'S' if selective else 'NS'}+{'P' if probationary else 'NP'}"
         worst[mode] = ad.finite_diff_check(f, params, eps=1e-5, min_coords=120, seed=9)
     elapsed = time.time() - t0
@@ -165,8 +158,8 @@ def test_factorized_init_contract(capsys):
         lm, RngStream(2).child("method"),
     )
     identical = all(
-        (provider.bank.a[i] == provider.bank.a[0]).all()
-        for i in range(provider.bank.a.shape[0])
+        (provider.stack[i] == provider.stack[0]).all()
+        for i in range(provider.stack.shape[0])
     )
 
     ok = recon_rel <= 1e-10 and monotone and identical

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from promptmoe import cli
@@ -107,7 +108,7 @@ def test_eval_checkpoint_under_mismatched_config_is_exit_2(tiny_config, tmp_path
     capsys.readouterr()
     raw = json.loads(open(tiny_config).read())
     cases = (
-        ({"prompt_length": 6}, "array 'A.0' has shape (8, 2), the config expects (6, 2)"),
+        ({"prompt_length": 6}, "array 'bank.A' has shape (2, 8, 2), the config expects (2, 6, 2)"),
         ({"kind": "PT"}, "missing arrays ['opt.m.pt.P', 'opt.v.pt.P', 'pt.P']"),
     )
     for override, message in cases:
@@ -118,6 +119,24 @@ def test_eval_checkpoint_under_mismatched_config_is_exit_2(tiny_config, tmp_path
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and message in err
+
+
+def test_old_bank_checkpoint_layout_is_exit_2(tiny_config, tmp_path, capsys):
+    # the layout that stored a bank as per-expert A.i, a shared B and a header
+    n, t, r, h = 2, 8, 2, 16
+    arrays = {f"A.{i}": np.zeros((t, r)) for i in range(n)}
+    arrays.update({"B": np.zeros((r, h)), "header": np.array([n, t, r, h])})
+    arrays.update({"router.W": np.zeros((n, h)), "router.b": np.zeros(n)})
+    for name, shape in (("bank.A", (n, t, r)), ("bank.B", (r, h)),
+                        ("router.W", (n, h)), ("router.b", (n,))):
+        arrays[f"opt.m.{name}"] = arrays[f"opt.v.{name}"] = np.zeros(shape)
+    arrays.update({"opt.counters": np.array([2, 0]), "train.meta": np.array([2, 3])})
+    path = tmp_path / "old.npz"
+    np.savez(path, **arrays)
+    assert run_cli("eval", "--config", tiny_config, "--checkpoint", str(path),
+                   "--cache-dir", str(tmp_path / "cache"), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "missing arrays ['bank.A', 'bank.B']" in err
 
 
 def test_eval_on_explicit_jsonl(tiny_config, tmp_path, capsys):

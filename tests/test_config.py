@@ -32,6 +32,7 @@ def test_unknown_key_names_valid_ones():
     [
         ("train", "checkpoint_dir", "ckpt"),
         ("train", "loss_reduction", "mean"),
+        ("train", "eval_every", 1),
         ("method", "router_mean_includes_pad", False),
     ],
 )

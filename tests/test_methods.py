@@ -6,6 +6,7 @@ import pytest
 from promptmoe import autodiff as ad
 from promptmoe import data as dt
 from promptmoe import methods as mt
+from promptmoe import trainer as tr
 from promptmoe.errors import ConfigError
 from promptmoe.linalg import RngStream, truncated_svd
 from promptmoe.model import LMConfig, ToyLM
@@ -104,13 +105,37 @@ def test_ptmoe_prompt_matches_compose_oracle(lm):
         for probationary in (True, False):
             p = make_provider(lm, "PT_MOE", num_experts=3, rank=4, k=2, router_w_std=4.0,
                               selective=selective, probationary=probationary)
-            p.bank.a[...] += np.random.default_rng(1).normal(size=p.bank.a.shape)
+            p.stack[...] += np.random.default_rng(1).normal(size=p.stack.shape)
             for training in (False, True):
                 node, decisions = p.prompt_node(
                     lm, batch, rng=RngStream(2).child("noise"), training=training
                 )
                 for e, d in enumerate(decisions):
-                    assert np.allclose(node.value[e], compose(d.weights, p.bank), atol=1e-12)
+                    want = compose(d.weights, p.stack, p.proj)
+                    assert np.allclose(node.value[e], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("kind", mt.KINDS)
+def test_prompt_node_matches_closed_form(lm, kind, training):
+    # P tiled (PT), A_0 @ B (DPT), w_sel * P_sel (SMOP), sum_i w_i A_i @ B (PT_MOE)
+    p = make_provider(lm, kind, num_experts=2, rank=4, router_w_std=4.0)
+    p.stack[...] += np.random.default_rng(1).normal(size=p.stack.shape)  # distinct experts
+    batch = tiny_batch(["copy: q r\n", "3+3 (mod 10)\n", "zz\n"])
+    node, decisions = p.prompt_node(lm, batch, rng=RngStream(2).child("noise"), training=training)
+    assert node.value.shape == (3, p.prompt_length, lm.cfg.hidden)
+    assert (decisions is None) == (kind in ("PT", "DPT"))
+    for e in range(batch.size):
+        if kind == "PT":
+            want = p.stack[0]
+        elif kind == "DPT":
+            want = p.stack[0] @ p.proj
+        elif kind == "SMOP":
+            (sel,) = decisions[e].selected
+            want = decisions[e].weights[sel] * p.stack[sel]
+        else:
+            want = compose(decisions[e].weights, p.stack, p.proj)
+        assert np.allclose(node.value[e], want, atol=1e-12)
 
 
 def test_ptmoe_n1_matches_dpt(lm):
@@ -145,7 +170,7 @@ def test_forced_one_hot_reproduces_single_expert(lm):
         )
     ]
     node, _ = p.prompt_node(lm, batch, forced=forced)
-    want = p.bank.a[want_idx] @ p.bank.b_shared
+    want = p.stack[want_idx] @ p.proj
     # forced mask/renorm turn the straight-through weight into exactly 1
     assert np.allclose(node.value[0], want, atol=1e-12)
 
@@ -156,7 +181,7 @@ def test_smop_selects_one_short_prompt(lm):
     node, dec = p.prompt_node(lm, batch)
     assert node.value.shape == (1, 20, lm.cfg.hidden)
     sel = dec[0].selected[0]
-    want = p.prompts[sel] * dec[0].weights[sel]
+    want = p.stack[sel] * dec[0].weights[sel]
     assert np.allclose(node.value[0], want, atol=1e-12)
 
 
@@ -172,8 +197,8 @@ def test_pt_function_class_reproduction(lm):
     target_prompt = rng.normal(size=(t, h))
     u, s, vt = truncated_svd(target_prompt, min(t, h))
     moe = make_provider(lm, "PT_MOE", prompt_length=t, num_experts=1, rank=min(t, h))
-    moe.bank.a[0] = u * s[None, :]
-    moe.bank.b_shared[...] = vt
+    moe.stack[0] = u * s[None, :]
+    moe.proj[...] = vt
     batch = tiny_batch(["w w w\n"])
     node, _ = moe.prompt_node(lm, batch)
     assert np.allclose(node.value[0], target_prompt, atol=1e-8)
@@ -189,7 +214,7 @@ def test_init_text_cycles_to_length(lm):
     p = make_provider(lm, "PT", prompt_length=7, init_text="ab")
     emb = lm.embed(np.array([[ord("a"), ord("b")]], dtype=np.int64))[0]
     want = np.stack([emb[0], emb[1], emb[0], emb[1], emb[0], emb[1], emb[0]])
-    assert np.allclose(p.prompt, want)
+    assert np.allclose(p.stack[0], want)
 
 
 def test_init_text_must_tokenize(lm):
@@ -205,12 +230,14 @@ def test_auto_rank_needs_budget():
 def test_checkpoint_roundtrip_all_kinds(lm, tmp_path):
     for kind in mt.KINDS:
         p = make_provider(lm, kind, rank=4, seed=5)
-        arrays = p.to_arrays()
+        p.stack[...] += 0.5
         path = tmp_path / f"{kind}.npz"
-        np.savez(path, **arrays)
+        tr.save_checkpoint(path, p, tr.AdamWState(p.param_arrays()), 3, tr.TrainConfig(seed=5))
         q = make_provider(lm, kind, rank=4, seed=6)  # different init
-        with np.load(path) as loaded:
-            q.load_arrays({k: loaded[k] for k in loaded.files})
+        _, step, seed = tr.load_checkpoint(path, q)
+        assert (step, seed) == (3, 5)
+        for name, arr in p.param_arrays().items():
+            assert np.array_equal(q.param_arrays()[name], arr), (kind, name)
         batch = tiny_batch(["t u v\n"])
         a, _ = p.prompt_node(lm, batch)
         b, _ = q.prompt_node(lm, batch)
@@ -256,8 +283,8 @@ def test_full_model_gradcheck_all_modes(selective, probationary):
     # prompt is independent of the logits whenever the weights sum to one,
     # so the router columns would be checked at an exactly-zero point
     jit = np.random.default_rng(5)
-    provider.bank.a += jit.normal(0.0, 0.05, provider.bank.a.shape)
-    provider.w += jit.normal(0.0, 0.05, provider.w.shape)
+    provider.stack += jit.normal(0.0, 0.05, provider.stack.shape)
+    provider.router.w += jit.normal(0.0, 0.05, provider.router.w.shape)
     # hand-built batch: the toy vocab has no specials, so no EOS plumbing
     from promptmoe.model import Batch
 
@@ -270,20 +297,13 @@ def test_full_model_gradcheck_all_modes(selective, probationary):
 
     def f(arrs):
         # frozen decisions keep the finite differences on the smooth part
-        provider.bank.a[...] = arrs["bank.A"]
-        provider.bank.b_shared[...] = arrs["bank.B"]
-        provider.w[...] = arrs["router.W"]
-        provider.b[...] = arrs["router.b"]
+        for name, p in provider.param_arrays().items():
+            p[...] = arrs[name]
         loss, count, _ = mt.loss_on_batch(
             provider, lm, batch, training=False, forced=decisions
         )
         return ad.scale(loss, 1.0 / count)
 
-    params = {
-        "bank.A": provider.bank.a.copy(),
-        "bank.B": provider.bank.b_shared.copy(),
-        "router.W": provider.w.copy(),
-        "router.b": provider.b.copy(),
-    }
+    params = {name: p.copy() for name, p in provider.param_arrays().items()}
     max_rel = ad.finite_diff_check(f, params, eps=1e-5, min_coords=120, seed=9)
     assert max_rel <= 1e-5

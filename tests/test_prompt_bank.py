@@ -4,46 +4,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptmoe import autodiff as ad
+from promptmoe import methods as mt
 from promptmoe import prompt_bank as pb
 from promptmoe.errors import ConfigError, ShapeError
 
 
-def compose(weights, bank):
+def compose(weights, a, b):
     """Oracle prompt for one weight vector: sum_i w_i * (a_i @ b)."""
-    return sum(w * (a @ bank.b_shared) for w, a in zip(weights, bank.a))
+    return sum(w * (a_i @ b) for w, a_i in zip(weights, a))
 
 
 def mix_then_project(weights, bank):
-    """The prompt ``PTMoEProvider.prompt_node`` builds: weighted factor sum, then b."""
-    mixed = ad.expert_mix(ad.const(np.asarray(weights, dtype=np.float64)[None]), bank.a)
-    return ad.matmul(mixed, bank.b_shared).value[0]
+    """The prompt ``methods.Provider.prompt_node`` builds: weighted factor sum, then b."""
+    a, b = bank
+    mixed = ad.expert_mix(ad.const(np.asarray(weights, dtype=np.float64)[None]), a)
+    return ad.matmul(mixed, b).value[0]
 
 
 def random_bank(seed=0, n=3, t=6, r=2, h=10):
     rng = np.random.default_rng(seed)
-    return pb.PromptBank(rng.normal(size=(n, t, r)), rng.normal(size=(r, h)))
+    return rng.normal(size=(n, t, r)), rng.normal(size=(r, h))
 
 
 def test_init_experts_identical_bitwise():
     rng = np.random.default_rng(0)
-    bank = pb.init_from_embeddings(rng.normal(size=(8, 12)), n=3, r=4)
-    assert bank.a.shape == (3, 8, 4)
-    assert np.array_equal(bank.a[0], bank.a[1])
-    assert np.array_equal(bank.a[1], bank.a[2])
+    a, _ = pb.init_from_embeddings(rng.normal(size=(8, 12)), n=3, r=4)
+    assert a.shape == (3, 8, 4)
+    assert np.array_equal(a[0], a[1])
+    assert np.array_equal(a[1], a[2])
 
 
 def test_init_rank_one_matrix_is_exact():
     e = np.outer(np.arange(1.0, 7.0), np.arange(1.0, 5.0))
-    bank = pb.init_from_embeddings(e, n=1, r=1)
-    recon = bank.a[0] @ bank.b_shared
+    a, b = pb.init_from_embeddings(e, n=1, r=1)
+    recon = a[0] @ b
     assert np.linalg.norm(recon - e) <= 1e-10 * np.linalg.norm(e)
 
 
 def test_init_full_rank_reconstructs():
     rng = np.random.default_rng(1)
     e = rng.normal(size=(6, 9))
-    bank = pb.init_from_embeddings(e, n=2, r=6)
-    recon = bank.a[0] @ bank.b_shared
+    a, b = pb.init_from_embeddings(e, n=2, r=6)
+    recon = a[0] @ b
     assert np.linalg.norm(recon - e) <= 1e-10 * np.linalg.norm(e)
 
 
@@ -52,8 +54,8 @@ def test_init_truncation_error_monotone_in_rank():
     e = rng.normal(size=(7, 11))
     errs = []
     for r in range(1, 8):
-        bank = pb.init_from_embeddings(e, n=1, r=r)
-        errs.append(np.linalg.norm(bank.a[0] @ bank.b_shared - e))
+        a, b = pb.init_from_embeddings(e, n=1, r=r)
+        errs.append(np.linalg.norm(a[0] @ b - e))
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
 
 
@@ -65,9 +67,9 @@ def test_init_rejects_bad_rank():
 
 
 def test_compose_one_hot_picks_single_expert():
-    bank = random_bank()
+    a, b = bank = random_bank()
     out = mix_then_project(np.array([1.0, 0.0, 0.0]), bank)
-    assert np.allclose(out, bank.a[0] @ bank.b_shared, atol=1e-15)
+    assert np.allclose(out, a[0] @ b, atol=1e-15)
 
 
 def test_compose_zero_weights_zero_prompt():
@@ -79,7 +81,7 @@ def test_compose_matches_naive_order():
     # weighted-sum-then-project vs project-each-then-sum
     bank = random_bank(seed=5)
     w = np.array([0.3, 0.7, -0.2])
-    assert np.allclose(mix_then_project(w, bank), compose(w, bank), atol=1e-12)
+    assert np.allclose(mix_then_project(w, bank), compose(w, *bank), atol=1e-12)
 
 
 def test_compose_rejects_weight_mismatch():
@@ -104,21 +106,24 @@ def test_compose_linear_in_weights(alpha, beta, seed):
 
 
 def test_param_count_reference_configs():
-    assert pb.param_count(2, 40, 36, 2048, with_router=True) == 80_706
-    assert pb.param_count(1, 40, 39, 2048, with_router=False) == 81_432
-    assert pb.param_count(1, 1, 1, 1) == 2
+    assert mt.expected_param_count("PT_MOE", 40, 2, 36, 2048) == 80_706
+    assert mt.expected_param_count("DPT", 40, 1, 39, 2048) == 81_432
+    assert mt.expected_param_count("DPT", 1, 1, 1, 1) == 2
     assert pb.format_k(80_706) == "80k"
     assert pb.format_k(81_432) == "81k"
 
 
 def test_param_count_beats_undecomposed_default():
     # n*t*h for the full-size default would be 2*40*2048
-    assert pb.param_count(2, 40, 36, 2048, with_router=True) < 2 * 40 * 2048
+    assert mt.expected_param_count("PT_MOE", 40, 2, 36, 2048) < 2 * 40 * 2048
 
 
 def test_bank_param_count_matches_array_sizes():
-    bank = random_bank(n=2, t=5, r=3, h=7)
-    assert bank.param_count() == bank.a.size + bank.b_shared.size
+    n, t, r, h = 2, 5, 3, 7
+    a, b = pb.init_from_embeddings(np.random.default_rng(4).normal(size=(t, h)), n=n, r=r)
+    router = n * h + n
+    assert a.size + b.size + router == mt.expected_param_count("PT_MOE", t, n, r, h)
+    assert a[:1].size + b.size == mt.expected_param_count("DPT", t, 1, r, h)
 
 
 def test_auto_rank_inverts_reference_budget():
@@ -137,12 +142,3 @@ def test_auto_rank_rejects_router_only_budget():
     with pytest.raises(ConfigError):
         pb.auto_rank(2 * 8 + 2, n=2, t=4, h=8)
 
-
-def test_checkpoint_roundtrip(tmp_path):
-    bank = random_bank(seed=9)
-    path = tmp_path / "bank.npz"
-    np.savez(path, **bank.to_arrays())
-    with np.load(path) as arrays:
-        back = pb.PromptBank.from_arrays(arrays)
-    assert np.array_equal(back.a, bank.a)
-    assert np.array_equal(back.b_shared, bank.b_shared)

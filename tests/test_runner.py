@@ -4,11 +4,9 @@ import dataclasses
 import json
 
 import numpy as np
-import pytest
 
 from promptmoe import config as cf
 from promptmoe import runner
-from promptmoe.errors import ConfigError
 from promptmoe.pretrain import PretrainConfig
 
 
@@ -79,12 +77,3 @@ def test_checkpoint_reload_matches_trained_provider(tmp_path):
     for name in trained:
         assert (fresh[name] == trained[name]).all(), name
 
-
-def test_budget_gate_at_reference_width():
-    rows = runner.assert_budget_match(2048)
-    assert [r[0] for r in rows] == ["PT", "DPT", "SMOP", "PT_MOE"]
-
-
-def test_budget_gate_trips_on_tight_tolerance():
-    with pytest.raises(ConfigError, match="target"):
-        runner.assert_budget_match(64, tolerance=1e-6)

@@ -228,20 +228,20 @@ def test_base_mutation_detected(lm):
     key = next(iter(lm.params))
     original = lm.params[key].copy()
 
-    def vandal(step):
+    def vandal(step, micro):
         lm.params[key][...] += 1.0
+        return batch_fn(step, micro)
 
-    cfg = tr.TrainConfig(steps=2, seed=1, eval_every=1)
     try:
         with pytest.raises(NumericalError, match="frozen"):
-            tr.train(provider, lm, cfg, batch_fn, eval_fn=vandal)
+            tr.train(provider, lm, tr.TrainConfig(steps=2, seed=1), vandal)
     finally:
         lm.params[key][...] = original
 
 
 def test_nonfinite_loss_reports_batch_ids(lm):
     provider = make_provider(lm)
-    provider.bank.a[...] = np.nan
+    provider.stack[...] = np.nan
     batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
     with pytest.raises(NumericalError, match="step 1"):
         tr.train(provider, lm, tr.TrainConfig(steps=1, seed=1), batch_fn)
