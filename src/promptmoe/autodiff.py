@@ -187,6 +187,34 @@ def embedding(table, ids):
     return Node(out, (table,), vjp)
 
 
+def take_rows(x, idx):
+    """Per-example row gather: out[e, j] = x[e, idx[e, j]].
+
+    x is (b, n, ...) and idx a (b, m) integer array whose indices are unique
+    within each example, so the backward rule scatters the adjoint into zeros
+    without accumulating.
+    """
+    x = as_node(x)
+    idx = np.asarray(idx, dtype=np.int64)
+    shape = x.value.shape
+    if len(shape) < 2 or idx.ndim != 2 or idx.shape[0] != shape[0]:
+        raise ShapeError(
+            f"take_rows needs (b, n, ...) values and (b, m) indices, got {shape} and {idx.shape}"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[1]):
+        raise ShapeError(f"take_rows index out of range for {shape[1]} rows")
+    if np.any(np.diff(np.sort(idx, axis=1), axis=1) == 0):
+        raise ShapeError("take_rows indices repeat within an example")
+    pick = (np.arange(shape[0])[:, None], idx)
+
+    def vjp(g):
+        dx = np.zeros(shape)
+        dx[pick] = g
+        return (dx,)
+
+    return Node(x.value[pick], (x,), vjp)
+
+
 def softmax(a):
     a = as_node(a)
     s = _softmax_last(a.value)

@@ -34,10 +34,24 @@ def score_example(pred, gold, task, raw=False):
     return rec
 
 
-def _gen_budget(ex, max_new):
-    if max_new is not None:
-        return max_new
-    return len(dt.encode_example(ex)[1]) + 2  # target incl. EOS, plus slack
+def _batches(kept, batch_size, k, max_seq):
+    """Consecutive chunks of (example, input length, budget) that ``generate`` can run.
+
+    A chunk closes at batch_size examples, or before an example that would
+    push k + its widest input + its largest budget past max_seq.
+    """
+    chunk, width, budget = [], 0, 0
+    for item in kept:
+        _, n_in, n_new = item
+        if chunk and (
+            len(chunk) == batch_size or k + max(width, n_in) + max(budget, n_new) > max_seq
+        ):
+            yield chunk
+            chunk, width, budget = [], 0, 0
+        chunk.append(item)
+        width, budget = max(width, n_in), max(budget, n_new)
+    if chunk:
+        yield chunk
 
 
 def eval_dataset(
@@ -53,30 +67,34 @@ def eval_dataset(
     """Score a dataset with one routed greedy generation per example.
 
     Examples whose prompt+input+generation budget cannot fit max_seq are
-    skipped and counted, never silently dropped. Returns a JSON-able report.
+    skipped and counted, never silently dropped. Batches hold batch_size
+    consecutive examples, or fewer where the batch's widest input plus its
+    largest budget would not fit max_seq. Returns a JSON-able report.
     """
     routed = provider.router is not None
     n_experts = provider.stack.shape[0]
     expert_counts = np.zeros(n_experts, dtype=np.int64) if routed else None
     expert_task = {} if routed else None
 
+    k = provider.prompt_length
     kept, skipped = [], 0
     for ex in examples:
-        need = provider.prompt_length + len(dt.encode_example(ex)[0]) + _gen_budget(ex, max_new)
-        if need > lm.cfg.max_seq:
+        inp, tgt = dt.encode_example(ex)
+        n_new = len(tgt) + 2 if max_new is None else max_new  # target incl. EOS, plus slack
+        if k + len(inp) + n_new > lm.cfg.max_seq:
             skipped += 1
         else:
-            kept.append(ex)
+            kept.append((ex, len(inp), n_new))
 
     per_task = {}
     records = []
     log_handle = open(routing_log, "w", encoding="utf-8") if routing_log else None
     try:
-        for lo in range(0, len(kept), batch_size):
-            chunk = kept[lo : lo + batch_size]
+        for items in _batches(kept, batch_size, k, lm.cfg.max_seq):
+            chunk = [ex for ex, _, _ in items]
             batch = dt.build_input_batch(chunk)
             prompt_node, decisions = provider.prompt_node(lm, batch, training=False)
-            budget = max(_gen_budget(ex, max_new) for ex in chunk)
+            budget = max(n_new for _, _, n_new in items)
             preds = lm.generate(prompt_node.value, batch.token_ids, batch.attn_mask, budget)
             if decisions is not None:
                 for ex, dec in zip(chunk, decisions):

@@ -10,15 +10,20 @@ records a graph only from the prompt on, and records none at all when the
 prompt is a raw array or absent (eval, ``generate``): autodiff keeps a node's
 inputs only if a named leaf lies behind them.
 
+A forward may be pruned to the rows its caller reads (``forward``'s
+``rows``): past the last layer's key/value projections, the query,
+attention, output projection, MLP, final layernorm and LM head run only at
+those rows. Earlier layers run every row, because each feeds the next
+layer's keys and values. The prompted loss reads only the answer rows, and
+its gradient flows through the pruning (``autodiff.take_rows``); the rows it
+skips would have contributed exact zeros.
+
 Greedy decoding runs through the same trunk with a ``KVCache``: one prefill
-over the right-padded [prompt | input] stores every layer's keys and values,
-then each new token costs one single-position forward that attends over the
-stored slots. The prefill reads one row per example, its last real position,
-so its last layer is pruned to that row past the key/value projections: the
-query, attention, output projection, MLP, final layernorm and LM head run
-once per example, not once per position. Earlier layers run every row,
-because each feeds the next layer's keys and values. Cached keys and values
-enter the graph as constants, so a cached forward is for inference only.
+over the right-padded [prompt | input] stores every layer's keys and values
+and reads one row per example, its last real position; then each new token
+costs one single-position forward that attends over the stored slots.
+Cached keys and values enter the graph as constants, so a cached forward is
+for inference only.
 
 Tokenization is byte-level UTF-8: ids 0..255 are raw bytes, 256 is PAD and
 257 EOS. The stock model config keeps vocab_size=256 (bytes only); configs
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, GraphError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 PAD_ID = 256
 EOS_ID = 257
@@ -176,18 +181,20 @@ class ToyLM:
         key_ok = np.concatenate([np.ones((b, k), dtype=bool), attn_mask > 0], axis=1)
         return np.tri(k + s, dtype=bool)[None, None] & key_ok[:, None, None, :]
 
-    def forward(self, prompt, input_embeds, attn_mask, cache=None):
+    def forward(self, prompt, input_embeds, attn_mask, cache=None, rows=None):
         """Logits over the concatenated [prompt | input] sequence.
 
         prompt: (b, k, h) Node or array, or None for k=0. input_embeds:
-        raw (b, s, h). Returns a (b, k+s, vocab) Node.
+        raw (b, s, h). Returns a (b, k+s, vocab) Node, or (b, m, vocab) at
+        the (b, m) concat positions ``rows`` (see ``_trunk``); a gradient
+        flows through either.
 
         With a ``KVCache`` the new rows continue each example's sequence at
         its own next position: they attend to every valid slot the cache
         holds and are stored in it. attn_mask must then be right-padded.
         """
         x, attn_mask, k = self._inputs(prompt, input_embeds, attn_mask)
-        return self._head(self._trunk(x, attn_mask, k, cache))
+        return self._head(self._trunk(x, attn_mask, k, cache, rows))
 
     def _inputs(self, prompt, input_embeds, attn_mask):
         """Validate ``forward``'s arguments; returns the [prompt | input] node, mask and k."""
@@ -223,17 +230,16 @@ class ToyLM:
     def _trunk(self, x, attn_mask, k, cache=None, rows=None):
         """Hidden states after the final layernorm, (b, k+s, hidden).
 
-        ``rows`` (b,) prunes an inference forward to one row per example:
-        the last layer still computes (and caches) keys and values at every
-        row, but runs the query, attention, output projection, MLP and the
-        final layernorm only at row ``rows[e]`` of example e, and the result
-        is (b, 1, hidden). The pruned rows are cut out of the graph, so
-        ``rows`` raises GraphError when a gradient could flow.
+        ``rows`` (b, m), indices unique within each example, prunes the
+        forward to m rows per example: the last layer still computes (and
+        caches) keys and values at every row, but runs the query, attention,
+        output projection, MLP and the final layernorm only at rows
+        ``rows[e]`` of example e, and the result is (b, m, hidden). The
+        rows are gathered with ``autodiff.take_rows``, so a gradient flows
+        back through them into every earlier layer.
         """
         b, total = x.value.shape[0], x.value.shape[1]
         h = self.cfg.hidden
-        if rows is not None and (x.active or not self.frozen):
-            raise GraphError("rows prunes an inference forward; it cannot carry a gradient")
         if cache is None:
             if total > self.cfg.max_seq:
                 raise ShapeError(f"sequence length {total} exceeds max_seq {self.cfg.max_seq}")
@@ -260,11 +266,11 @@ class ToyLM:
             if cache is not None:
                 key, val = (ad.const(a) for a in cache.write(i, pos, key.value, val.value))
             if rows is not None and i == self.cfg.layers - 1:
-                pick = (np.arange(b), rows)
-                x, ln1 = (ad.const(t.value[pick][:, None]) for t in (x, ln1))
-                allow = allow[np.arange(b), :, rows][:, :, None]
-                rope_pos = np.broadcast_to(pos, (b, total))[pick][:, None, None]
-                n = 1
+                x, ln1 = ad.take_rows(x, rows), ad.take_rows(ln1, rows)
+                e = np.arange(b)[:, None]
+                allow = allow[e, 0, rows][:, None]
+                rope_pos = np.broadcast_to(pos, (b, total))[e, rows][:, None]
+                n = rows.shape[1]
             q = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wq")), self._p(f"l{i}.bq")))
             if self.cfg.rotary:
                 q = self._rope(q, rope_pos)
@@ -298,10 +304,23 @@ class ToyLM:
         mask is shifted left by one against the logits. Position 0 of the
         input is never predicted (it is conditioned on prompt/positions
         only), enforced by the mask shift.
+
+        Only the rows the shifted mask marks are forwarded past the last
+        layer's keys and values: each example's mask-1 rows, padded with
+        mask-0 rows to the batch's largest count m (``forward``'s ``rows``).
+        The logits are (b, m, vocab); loss, count and gradients equal those
+        of the full-width forward up to summation order.
         """
+        k = 0 if prompt is None else ad.as_node(prompt).value.shape[1]
+        targets, mask = self._shifted_targets(batch, k)
+        # stable sort: mask-1 rows first in order, then mask-0 rows in order
+        order = np.argsort(-mask, axis=1, kind="stable")
+        m = max(1, int(mask.sum(axis=1).max()))
+        rows = np.sort(order[:, :m], axis=1)
+        pick = (np.arange(batch.size)[:, None], rows)
         embeds = self.embed(batch.token_ids)
-        logits = self.forward(prompt, embeds, batch.attn_mask)
-        return self._shifted_nll(logits, batch)
+        logits = self.forward(prompt, embeds, batch.attn_mask, rows=rows)
+        return ad.masked_nll(logits, targets[pick], mask[pick])
 
     def loss_on_tokens(self, batch):
         """Same loss via the differentiable embedding path (no prompt)."""
@@ -310,6 +329,11 @@ class ToyLM:
 
     def _shifted_nll(self, logits, batch):
         k = logits.value.shape[1] - batch.token_ids.shape[1]
+        return ad.masked_nll(logits, *self._shifted_targets(batch, k))
+
+    @staticmethod
+    def _shifted_targets(batch, k):
+        """(targets, loss mask), each (b, k+s), aligned with the concat positions."""
         b, s = batch.token_ids.shape
         targets = np.zeros((b, k + s), dtype=np.int64)
         mask = np.zeros((b, k + s))
@@ -318,7 +342,7 @@ class ToyLM:
         start = 1 if k == 0 else 0
         targets[:, k + start - 1 : k + s - 1] = batch.token_ids[:, start:]
         mask[:, k + start - 1 : k + s - 1] = batch.loss_mask[:, start:]
-        return ad.masked_nll(logits, targets, mask)
+        return targets, mask
 
     def generate(self, prompt, token_ids, attn_mask, max_new, eos_id=EOS_ID):
         """Greedy continuation per example; stops at eos_id or max_new.
@@ -327,7 +351,7 @@ class ToyLM:
         generation (routing happens once, upstream); token_ids and attn_mask
         are right-padded. One prefill over [prompt | input] fills a KV cache;
         past the last layer's keys and values it runs only row k + len_e - 1
-        of each example, whose LM head gives the first token (``_trunk``'s
+        of each example, whose LM head gives the first token (``forward``'s
         ``rows``). Every further token is one single-position forward in
         which example e writes at its own next slot, k + len_e onwards, so
         ragged rows are never re-padded. Returns a list of id lists, EOS
@@ -347,8 +371,8 @@ class ToyLM:
         lengths = attn.sum(axis=1).astype(int)
         # the last generated token is never fed back, so it needs no slot
         cache = KVCache(self.cfg, b, k + s + max_new - 1)
-        x, attn, _ = self._inputs(prompt, self.embed(ids), attn)
-        logits = self._head(self._trunk(x, attn, k, cache, rows=k + lengths - 1)).value
+        rows = (k + lengths - 1)[:, None]
+        logits = self.forward(prompt, self.embed(ids), attn, cache=cache, rows=rows).value
         nxt = np.argmax(logits[:, 0], axis=-1)
         done = np.zeros(b, dtype=bool)
         out = [[] for _ in range(b)]

@@ -145,6 +145,34 @@ def test_embedding_repeated_ids_accumulate():
     assert np.array_equal(grads["t"], [[0, 0], [3, 3], [0, 0]])
 
 
+@pytest.mark.parametrize("trailing", [(4, 3), (2, 3, 2)])
+def test_take_rows_gradcheck(trailing):
+    rng = np.random.default_rng(12)
+    idx = np.array([[4, 0, 2], [1, 3, 5]])  # unsorted rows, unique per example
+    p = {"x": rng.normal(size=(2, 6) + trailing)}
+    assert fd(lambda v: proj(ad.take_rows(ad.leaf(v["x"], "x"), idx)), p) <= TOL
+
+
+def test_take_rows_gathers_and_scatters_per_example():
+    x = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
+    idx = np.array([[3, 1], [0, 2]])
+    node = ad.take_rows(ad.leaf(x, "x"), idx)
+    assert np.array_equal(node.value, np.stack([x[0, [3, 1]], x[1, [0, 2]]]))
+    g = np.arange(1.0, 13.0).reshape(2, 2, 3)
+    (dx,) = node.vjp(g)
+    want = np.zeros_like(x)
+    want[0, [3, 1]] = g[0]
+    want[1, [0, 2]] = g[1]
+    assert np.array_equal(dx, want)
+
+
+def test_take_rows_rejects_bad_indices():
+    x = ad.const(np.zeros((2, 4, 3)))
+    for bad in ([[0, 4], [1, 2]], [[0, 1]], [[1, 1], [0, 2]], [0, 1]):
+        with pytest.raises(ShapeError):
+            ad.take_rows(x, np.array(bad))
+
+
 def test_expert_mix_gradcheck():
     rng = np.random.default_rng(11)
     p = {"w": rng.normal(size=(3, 4)), "a": rng.normal(size=(4, 2, 5))}
@@ -194,6 +222,8 @@ def test_ops_on_constants_record_no_graph():
     a, b = ad.const(np.ones((2, 3))), ad.const(np.ones((3, 2)))
     out = ad.gelu(ad.add(ad.matmul(a, b), 1.0))
     assert not out.active and out.parents == () and out.vjp is None
+    rows = ad.take_rows(out, np.array([[1], [0]]))
+    assert not rows.active and rows.parents == () and rows.vjp is None
     x = ad.leaf(np.ones((2, 3)), "x")
     mixed = ad.matmul(x, b)
     assert mixed.active and mixed.parents == (x, b)
@@ -408,6 +438,7 @@ def test_ops_write_into_no_input_and_no_adjoint():
         "masked_nll": lambda a: ad.masked_nll(a[0], targets, mask)[0],
         "rotate_half": lambda a: ad.rotate_half(a[0]),
         "matmul": lambda a: ad.matmul(a[4], a[3]),  # the one-gemm (b, 1, h) path
+        "take_rows": lambda a: ad.take_rows(a[0], np.array([[2, 0], [1, 2], [0, 1], [2, 1]])),
     }
     values = (x, gain, bias, w, x[:, :1].copy())
     for name, op in cases.items():

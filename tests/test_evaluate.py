@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from promptmoe import config as cf
 from promptmoe import data as dt
 from promptmoe import evaluate as ev
 from promptmoe import methods as mt
+from promptmoe import pretrain as pt
 from promptmoe.linalg import RngStream
 from promptmoe.model import LMConfig, ToyLM
 
@@ -145,3 +147,18 @@ def test_pt_provider_reports_no_expert_stats(lm):
     rep = ev.eval_dataset(pt, lm, dt.gen_synthetic("copy_span", 3, 81))
     assert rep["expert_counts"] is None
     assert rep["expert_task_counts"] is None
+
+
+def test_batch_that_would_overflow_max_seq_is_split():
+    # each example fits on its own; padded together they would need 40 + 197 + 33 > 256
+    rc = cf.default_run_config()
+    lm, _ = pt.ensure_base(rc.base, cache_dir=".cache")
+    provider = mt.build(rc.method, lm, RngStream(1).child("method"))
+    long_input = dt.Example("copy: " + "x" * 190, "y", "copy_span", "long-input")
+    long_target = dt.Example("copy: ab", "z" * 30, "copy_span", "long-target")
+    pair = ev.eval_dataset(provider, lm, [long_input, long_target], keep_records=True)
+    assert pair["count"] == 2 and pair["skipped"] == 0
+    for ex, rec in zip([long_input, long_target], pair["records"]):
+        alone = ev.eval_dataset(provider, lm, [ex], keep_records=True)
+        assert alone["skipped"] == 0
+        assert rec["pred"] == alone["records"][0]["pred"]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from promptmoe import autodiff as ad
+from promptmoe import methods as mt
 from promptmoe import model as m
-from promptmoe.errors import ConfigError, DataError, GraphError, ShapeError
+from promptmoe.errors import ConfigError, DataError, ShapeError
 from promptmoe.linalg import RngStream
 
 
@@ -420,8 +421,9 @@ def test_inference_records_no_graph():
     for p in (None, prompt):
         assert lm.forward(p, lm.embed(RAGGED_IDS), attn).parents == ()
     assert lm.forward_tokens(RAGGED_IDS, attn).parents == ()
+    # the pruned prefill, then one forward per further token
     _, steps = traced_generate(lm, prompt, RAGGED_IDS, attn, 6, eos_id=-1, method="forward")
-    assert len(steps) == 5 and all(node.parents == () for node in steps)
+    assert len(steps) == 6 and all(node.parents == () for node in steps)
 
 
 def test_frozen_prompt_gradient_equals_unfrozen():
@@ -446,21 +448,27 @@ def test_pruned_prefill_matches_unpruned_rows_and_cache(rotary, k):
     ids = RAGGED_IDS
     attn = (ids != m.PAD_ID).astype(float)
     prompt = np.random.default_rng(3).normal(size=(len(ids), k, 32)) if k else None
-    rows = k + attn.sum(axis=1).astype(int) - 1
-    picked = np.arange(len(ids)), rows
+    rows = (k + attn.sum(axis=1).astype(int) - 1)[:, None]
+    picked = np.arange(len(ids))[:, None], rows
 
     def trunk(cache, **kw):
         x, mask, _ = lm._inputs(prompt, lm.embed(ids), attn)
         return lm._trunk(x, mask, k, cache, **kw).value
 
-    # uncached, then a prefill into a cache followed by one cached step
+    # uncached, at one row and at three unsorted rows per example (padding included)
     full = trunk(None)
-    np.testing.assert_allclose(trunk(None, rows=rows)[:, 0], full[picked], rtol=0, atol=1e-12)
-    caches = [m.KVCache(lm.cfg, len(ids), k + ids.shape[1] + 1) for _ in range(2)]
+    np.testing.assert_allclose(trunk(None, rows=rows), full[picked], rtol=0, atol=1e-12)
+    total = k + ids.shape[1]
+    many = np.stack([np.random.default_rng(e).permutation(total)[:3] for e in range(len(ids))])
+    pruned = trunk(None, rows=many)
+    assert pruned.shape == (len(ids), 3, 32)
+    np.testing.assert_allclose(pruned, full[np.arange(len(ids))[:, None], many], rtol=0, atol=1e-12)
+    # a prefill into a cache followed by one cached step
+    caches = [m.KVCache(lm.cfg, len(ids), total + 1) for _ in range(2)]
     full = trunk(caches[0])
     pruned = trunk(caches[1], rows=rows)
     assert pruned.shape == (len(ids), 1, 32)
-    np.testing.assert_allclose(pruned[:, 0], full[picked], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pruned, full[picked], rtol=0, atol=1e-12)
     full_cache, pruned_cache = caches
     for layer in range(lm.cfg.layers):
         assert np.array_equal(pruned_cache.keys[layer], full_cache.keys[layer])
@@ -475,17 +483,58 @@ def test_pruned_prefill_matches_unpruned_rows_and_cache(rotary, k):
     assert np.array_equal(steps[0].value, steps[1].value)
 
 
-def test_pruned_trunk_refuses_a_gradient():
-    ids = RAGGED_IDS[:2]
+# (loss mask, largest loss-row count m): ragged with one empty example, and m == 1
+LOSS_MASKS = [
+    (np.array([[0, 0, 1, 1, 1], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]), 3),
+    (np.array([[0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]]), 1),
+]
+
+
+def assert_rel_close(got, want, what, scale=None):
+    scale = np.max(np.abs(want)) if scale is None else scale
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale, what
+
+
+@pytest.mark.parametrize("kind", mt.KINDS)
+@pytest.mark.parametrize("rotary", [True, False])
+@pytest.mark.parametrize("frozen", [True, False])
+def test_pruned_loss_matches_full_row_oracle(kind, rotary, frozen):
+    lm = make_lm(hidden=16, heads=2, seed=8, rotary=rotary, frozen=frozen)
+    cfg = mt.MethodConfig(kind=kind, prompt_length=4, num_experts=2, rank=3, init_text="a b 1\n")
+    provider = mt.build(cfg, lm, RngStream(9).child("method"))
+    ids = RAGGED_IDS
     attn = (ids != m.PAD_ID).astype(float)
-    rows = np.array([4, 1])
-    frozen = make_lm()
-    active = ad.leaf(frozen.embed(ids), "x")
-    with pytest.raises(GraphError):
-        frozen._trunk(active, attn, 0, rows=rows)
-    unfrozen = make_lm(frozen=False)
-    with pytest.raises(GraphError):
-        unfrozen._trunk(ad.const(unfrozen.embed(ids)), attn, 0, rows=rows)
+    for loss_mask, rows in LOSS_MASKS:
+        batch = m.Batch(token_ids=ids, attn_mask=attn, loss_mask=loss_mask * attn)
+
+        def run(pruned):
+            prompt, _ = provider.prompt_node(lm, batch)
+            if pruned:
+                loss, count = lm.loss_on_batch(prompt, batch)
+                logits = loss.parents[0]
+            else:
+                logits = lm.forward(prompt, lm.embed(ids), attn)
+                loss, count = lm._shifted_nll(logits, batch)
+            return loss, count, logits, ad.backward(loss)
+
+        loss, count, logits, grads = run(pruned=True)
+        want_loss, want_count, want_logits, want_grads = run(pruned=False)
+        assert logits.shape == (len(ids), rows, lm.cfg.vocab_size)
+        width = provider.prompt_length + ids.shape[1]
+        assert want_logits.shape == (len(ids), width, lm.cfg.vocab_size)
+        assert count == want_count == int(loss_mask.sum())
+        assert_rel_close(loss.value, want_loss.value, "loss")
+        assert set(grads) == set(want_grads)
+        assert any(name.startswith("lm.") for name in grads) == (not frozen)
+        for name, g in want_grads.items():
+            if name.endswith(".bk") and not rotary:
+                # zero in exact arithmetic: an unrotated key bias moves all of a
+                # query's scores alike, which softmax ignores; both are roundoff
+                scale = np.max(np.abs(want_grads[name[:-2] + "wk"]))
+                assert np.max(np.abs(want_grads[name])) <= 1e-12 * scale, name
+                assert_rel_close(grads[name], g, name, scale=scale)
+            else:
+                assert_rel_close(grads[name], g, name)
 
 
 def test_kv_cache_rejects_left_padding_and_overflow():
