@@ -153,18 +153,17 @@ def cmd_inspect_routing(args):
     for lo in range(0, len(examples), rc.eval.batch_size):
         chunk = examples[lo : lo + rc.eval.batch_size]
         batch = dt.build_input_batch(chunk)
-        _, decisions = provider.prompt_node(lm, batch, training=False)
-        for ex, dec in zip(chunk, decisions):
-            row = counts.setdefault(ex.task, np.zeros(provider.stack.shape[0], dtype=np.int64))
-            row[dec.selected[0]] += 1
+        _, routing = provider.prompt_node(lm, batch, training=False)
+        routing.tally_primary(batch.tasks, counts)
+        for ex, mask, weights in zip(chunk, routing.mask, routing.weights):
             if len(rows) < args.limit:
-                rows.append((ex.id, ex.task, dec.selected, np.round(dec.weights, 4)))
+                rows.append((ex.id, ex.task, np.flatnonzero(mask), np.round(weights, 4)))
     print("per-task primary-expert counts:")
     for task, row in sorted(counts.items()):
         print(f"  {task:>12}: {row.tolist()}")
     print(f"first {len(rows)} decisions:")
     for rid, task, sel, w in rows:
-        print(f"  {rid:>24} {task:>12} selected={list(sel)} weights={w.tolist()}")
+        print(f"  {rid:>24} {task:>12} selected={sel.tolist()} weights={w.tolist()}")
     return 0
 
 

@@ -102,22 +102,26 @@ def encode_example(ex):
     return encode(ex.input + SEPARATOR), encode(ex.target) + [EOS_ID]
 
 
+def pad_right(seqs):
+    """(ids, attn): token lists right-padded with PAD to the longest, and their 0/1 mask."""
+    width = max(len(s) for s in seqs)
+    ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
+    attn = np.zeros((len(seqs), width))
+    for e, s in enumerate(seqs):
+        ids[e, : len(s)] = s
+        attn[e, : len(s)] = 1.0
+    return ids, attn
+
+
 def build_batch(examples, max_seq=None):
     """Right-padded batch; the loss mask covers answer tokens and EOS only."""
     pairs = [encode_example(ex) for ex in examples]
-    lengths = [len(a) + len(b) for a, b in pairs]
-    width = max(lengths)
-    if max_seq is not None and width > max_seq:
-        raise DataError(f"an example needs {width} tokens, over the {max_seq} limit")
-    n = len(examples)
-    ids = np.full((n, width), PAD_ID, dtype=np.int64)
-    attn = np.zeros((n, width))
-    loss = np.zeros((n, width))
-    for e, (inp, tgt) in enumerate(pairs):
-        ids[e, : len(inp)] = inp
-        ids[e, len(inp) : len(inp) + len(tgt)] = tgt
-        attn[e, : len(inp) + len(tgt)] = 1.0
-        loss[e, len(inp) : len(inp) + len(tgt)] = 1.0
+    ids, attn = pad_right([inp + tgt for inp, tgt in pairs])
+    if max_seq is not None and ids.shape[1] > max_seq:
+        raise DataError(f"an example needs {ids.shape[1]} tokens, over the {max_seq} limit")
+    loss = attn.copy()
+    for e, (inp, _) in enumerate(pairs):
+        loss[e, : len(inp)] = 0.0
     return Batch(
         token_ids=ids,
         attn_mask=attn,
@@ -129,16 +133,9 @@ def build_batch(examples, max_seq=None):
 
 def build_input_batch(examples, max_seq=None):
     """Inputs only (with separator), for generation."""
-    seqs = [encode(ex.input + SEPARATOR) for ex in examples]
-    width = max(len(s) for s in seqs)
-    if max_seq is not None and width > max_seq:
-        raise DataError(f"an input needs {width} tokens, over the {max_seq} limit")
-    n = len(examples)
-    ids = np.full((n, width), PAD_ID, dtype=np.int64)
-    attn = np.zeros((n, width))
-    for e, s in enumerate(seqs):
-        ids[e, : len(s)] = s
-        attn[e, : len(s)] = 1.0
+    ids, attn = pad_right([encode(ex.input + SEPARATOR) for ex in examples])
+    if max_seq is not None and ids.shape[1] > max_seq:
+        raise DataError(f"an input needs {ids.shape[1]} tokens, over the {max_seq} limit")
     return Batch(
         token_ids=ids,
         attn_mask=attn,

@@ -70,10 +70,14 @@ def eval_dataset(
     skipped and counted, never silently dropped. Batches hold batch_size
     consecutive examples, or fewer where the batch's widest input plus its
     largest budget would not fit max_seq. Returns a JSON-able report.
+
+    Generation runs every example of a batch to the batch's largest budget,
+    so an example that emits no EOS can predict differently depending on
+    its batch; a fixed ``max_new`` makes predictions independent of
+    batching. ``expert_task_counts`` tallies ``Routing.primary`` per task.
     """
     routed = provider.router is not None
-    n_experts = provider.stack.shape[0]
-    expert_counts = np.zeros(n_experts, dtype=np.int64) if routed else None
+    expert_counts = np.zeros(provider.stack.shape[0], dtype=np.int64) if routed else None
     expert_task = {} if routed else None
 
     k = provider.prompt_length
@@ -93,24 +97,24 @@ def eval_dataset(
         for items in _batches(kept, batch_size, k, lm.cfg.max_seq):
             chunk = [ex for ex, _, _ in items]
             batch = dt.build_input_batch(chunk)
-            prompt_node, decisions = provider.prompt_node(lm, batch, training=False)
+            prompt_node, routing = provider.prompt_node(lm, batch, training=False)
             budget = max(n_new for _, _, n_new in items)
             preds = lm.generate(prompt_node.value, batch.token_ids, batch.attn_mask, budget)
-            if decisions is not None:
-                for ex, dec in zip(chunk, decisions):
-                    for idx in dec.selected:
-                        expert_counts[idx] += 1
-                    row = expert_task.setdefault(ex.task, np.zeros(n_experts, dtype=np.int64))
-                    row[dec.selected[0]] += 1
-                    if log_handle is not None:
+            if routing is not None:
+                expert_counts += routing.mask.sum(axis=0).astype(np.int64)
+                routing.tally_primary(batch.tasks, expert_task)
+                if log_handle is not None:
+                    for ex, mask, weights, soft in zip(
+                        chunk, routing.mask, routing.weights, routing.soft
+                    ):
                         log_handle.write(
                             json.dumps(
                                 {
                                     "id": ex.id,
                                     "task": ex.task,
-                                    "selected": list(dec.selected),
-                                    "weights": [float(x) for x in dec.weights],
-                                    "soft": [float(x) for x in dec.soft],
+                                    "selected": np.flatnonzero(mask).tolist(),
+                                    "weights": weights.tolist(),
+                                    "soft": soft.tolist(),
                                 }
                             )
                             + "\n"

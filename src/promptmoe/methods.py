@@ -10,8 +10,8 @@ Each other method is PT-MoE with parts switched off:
 * PT_MOE: n t x r factors mixed by the router, then the shared projection.
 
 A provider owns its trainable arrays (the trainer updates them in place),
-and computes the per-example prompt node for a batch, recording routing
-decisions where a router exists.
+and computes the per-example prompt node for a batch, returning the
+batch's routing record where a router exists.
 """
 
 from dataclasses import dataclass
@@ -118,11 +118,11 @@ class Provider:
         return sum(a.size for a in self.param_arrays().values())
 
     def prompt_node(self, lm, batch, rng=None, training=False, forced=None):
-        """(b, t', h) prompt node and the routing decisions (None without a router)."""
+        """(b, t', h) prompt node and the batch's ``Routing`` (None without a router)."""
         if self.router is None:
-            weights, decisions = ad.const(np.ones((batch.size, 1))), None
+            weights, routing = ad.const(np.ones((batch.size, 1))), None
         else:
-            weights, decisions = rt.route_batch(
+            weights, routing = rt.route_batch(
                 mean_rows(lm.embed(batch.token_ids), batch.attn_mask),
                 ad.leaf(self.router.w, "router.W"),
                 ad.leaf(self.router.b, "router.b"),
@@ -133,8 +133,8 @@ class Provider:
             )
         mixed = ad.expert_mix(weights, ad.leaf(self.stack, self.stack_name))  # weighted sum first
         if self.proj is None:
-            return mixed, decisions
-        return ad.matmul(mixed, ad.leaf(self.proj, "bank.B")), decisions  # one shared projection
+            return mixed, routing
+        return ad.matmul(mixed, ad.leaf(self.proj, "bank.B")), routing  # one shared projection
 
 
 def build(cfg, lm, rng):
@@ -156,10 +156,10 @@ def build(cfg, lm, rng):
 
 
 def loss_on_batch(provider, lm, batch, rng=None, training=False, forced=None):
-    """(summed loss node, token count, routing decisions) for one batch."""
-    prompt, decisions = provider.prompt_node(lm, batch, rng=rng, training=training, forced=forced)
+    """(summed loss node, token count, ``Routing`` or None) for one batch."""
+    prompt, routing = provider.prompt_node(lm, batch, rng=rng, training=training, forced=forced)
     loss, count = lm.loss_on_batch(prompt, batch)
-    return loss, count, decisions
+    return loss, count, routing
 
 
 def expected_param_count(kind, t, n, r, h):

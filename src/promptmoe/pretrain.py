@@ -18,10 +18,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import pad_right
 from .errors import NumericalError
 from .linalg import RngStream
-from .model import EOS_ID, PAD_ID, Batch, LMConfig, ToyLM, encode
-from .trainer import AdamWState, TrainConfig, adamw_step, lr_at
+from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
+from .trainer import AdamWState, adamw_step
 from . import autodiff as ad
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -184,12 +185,7 @@ def _doc_batch(docs, idx, pack_len=None):
                     break
                 buf.extend(docs[i])
             seqs.append(buf[:pack_len])
-    width = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
-    attn = np.zeros((len(seqs), width))
-    for e, s in enumerate(seqs):
-        ids[e, : len(s)] = s
-        attn[e, : len(s)] = 1.0
+    ids, attn = pad_right(seqs)
     return Batch(token_ids=ids, attn_mask=attn, loss_mask=attn.copy())
 
 
@@ -211,14 +207,6 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
     """Train a fresh model on the synthetic corpus and freeze it."""
     lm = ToyLM.create(pcfg.lm_config(), RngStream(pcfg.seed).child("lm_init"), pcfg.init_std)
     docs = gen_corpus(pcfg.docs, pcfg.seed)
-    opt_cfg = TrainConfig(
-        steps=pcfg.steps,
-        batch_size=pcfg.batch_size,
-        warmup_steps=pcfg.warmup_steps,
-        lr=pcfg.lr,
-        grad_accum=1,
-        seed=pcfg.seed,
-    )
     state = AdamWState(lm.params)
     root = RngStream(pcfg.seed)
     last = float("nan")
@@ -234,7 +222,7 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
             raise NumericalError(f"pretraining loss non-finite at step {step}")
         grads = ad.backward(ad.scale(loss_node, 1.0 / max(count, 1)))
         grads = {name.removeprefix("lm."): g for name, g in grads.items()}
-        adamw_step(lm.params, grads, state, pretrain_lr(step, pcfg), opt_cfg)
+        adamw_step(lm.params, grads, state, pretrain_lr(step, pcfg))
         last = float(loss_node.value) / max(count, 1)
         if log_every and step % log_every == 0:
             log_fn(f"pretrain step {step}/{pcfg.steps} loss {last:.4f}")

@@ -11,13 +11,14 @@ independent switches:
   is scaled by router confidence; non-probationary renormalizes the kept
   weights to sum to 1.
 
-One function, ``route_batch``, routes a whole batch for training and for
-inference alike. Differentiation treats the top-k mask and the
-renormalization constant as constants (straight-through), so gradients
-reach only the retained softmax entries.
+One function, ``route_batch``, routes a whole batch at once for training
+and for inference alike, and returns one ``Routing`` record of (b, n)
+arrays. Differentiation treats the top-k mask and the renormalization
+constant as constants (straight-through), so gradients reach only the
+retained softmax entries.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +53,30 @@ class RouterParams:
 
 
 @dataclass
-class RoutingDecision:
-    weights: np.ndarray
-    selected: tuple
-    soft: np.ndarray
+class Routing:
+    """One batch's routing as (b, n) arrays, plus the (b, 1) ``renorm``.
+
+    ``logits``, ``noisy_logits`` and ``soft`` are the router's node values;
+    ``mask`` is 1 on kept experts; ``weights`` is ``soft * mask / renorm``,
+    which the straight-through weight node equals up to rounding.
+    """
+
     logits: np.ndarray
     noisy_logits: np.ndarray
-    mask: np.ndarray = field(repr=False, default=None)
-    renorm: float = 1.0
+    soft: np.ndarray
+    mask: np.ndarray
+    renorm: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def primary(self):
+        """(b,) index of each example's top-weighted expert, lowest on ties."""
+        return self.weights.argmax(axis=1)
+
+    def tally_primary(self, tasks, counts):
+        """Add each example's primary expert to ``counts[task]``, an (n,) int64 row."""
+        for task, e in zip(tasks, self.primary):
+            counts.setdefault(task, np.zeros(self.mask.shape[1], dtype=np.int64))[e] += 1
 
 
 def init_router(n, h, rng, w_std=1.0):
@@ -67,29 +84,15 @@ def init_router(n, h, rng, w_std=1.0):
     return np.asarray(rng.normal((n, h), std=w_std)), np.zeros(n)
 
 
-def _select(soft, params):
-    """Top-k mask and renorm constant from raw softmax values."""
-    n = soft.shape[0]
-    if params.selective:
-        order = np.argsort(-soft, kind="stable")  # stable = lowest index wins ties
-        keep = np.sort(order[: params.k])
-    else:
-        keep = np.arange(n)
-    mask = np.zeros(n)
-    mask[keep] = 1.0
-    renorm = 1.0 if params.probationary else float((soft * mask).sum())
-    return tuple(int(i) for i in keep), mask, renorm
-
-
 def route_batch(mu, w_node, b_node, params, rng=None, training=False, forced=None):
     """Route a batch of examples; the one router for training and inference.
 
     ``mu`` is the raw (b, h) mean-embedding matrix (the base model is
     frozen, so no gradient flows into it). Noise is drawn per example.
-    Returns the (b, n) straight-through weight node plus the per-example
-    decisions for logging.
+    Returns the (b, n) straight-through weight node and the batch's
+    ``Routing``.
 
-    ``forced`` replays earlier decisions: their masks and renorm constants
+    ``forced`` replays an earlier ``Routing``: its mask and renorm constants
     are reused instead of recomputed, which is how gradient checks hold the
     non-differentiable selection fixed while probing the smooth part.
     """
@@ -104,23 +107,26 @@ def route_batch(mu, w_node, b_node, params, rng=None, training=False, forced=Non
     else:
         noisy = logits
     soft = ad.softmax(noisy)
-    decisions = []
-    st_scale = np.zeros((bsize, params.n))
-    for e in range(bsize):
-        if forced is not None:
-            selected, mask, renorm = forced[e].selected, forced[e].mask, forced[e].renorm
+    if forced is not None:
+        mask, renorm = forced.mask, forced.renorm
+    else:
+        if params.selective:
+            # stable sort of -soft: the lowest index wins ties
+            keep = np.argsort(-soft.value, axis=1, kind="stable")[:, : params.k]
+            mask = np.zeros((bsize, params.n))
+            np.put_along_axis(mask, keep, 1.0, axis=1)
         else:
-            selected, mask, renorm = _select(soft.value[e], params)
-        st_scale[e] = mask / renorm
-        decisions.append(
-            RoutingDecision(
-                weights=soft.value[e] * mask / renorm,
-                selected=selected,
-                soft=soft.value[e].copy(),
-                logits=logits.value[e].copy(),
-                noisy_logits=noisy.value[e].copy(),
-                mask=mask,
-                renorm=renorm,
-            )
-        )
-    return ad.mul(soft, ad.const(st_scale)), decisions
+            mask = np.ones((bsize, params.n))
+        if params.probationary:
+            renorm = np.ones((bsize, 1))
+        else:
+            renorm = (soft.value * mask).sum(axis=1, keepdims=True)
+    routing = Routing(
+        logits=logits.value,
+        noisy_logits=noisy.value,
+        soft=soft.value,
+        mask=mask,
+        renorm=renorm,
+        weights=soft.value * mask / renorm,
+    )
+    return ad.mul(soft, ad.const(mask / renorm)), routing

@@ -18,6 +18,9 @@ from . import methods as mt
 from .errors import ConfigError, NumericalError
 from .linalg import RngStream
 
+# AdamW hyperparameters; every run, tuning and pretraining alike, uses these
+BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.0
+
 
 @dataclass
 class TrainConfig:
@@ -27,10 +30,6 @@ class TrainConfig:
     lr: float = 2e-5
     grad_accum: int = 2
     seed: int = 0
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.steps < 1:
@@ -66,7 +65,7 @@ class AdamWState:
         self.step, self.skipped = (int(x) for x in arrays["opt.counters"])
 
 
-def adamw_step(params, grads, state, lr, cfg):
+def adamw_step(params, grads, state, lr):
     """One update over all named params, in place. Returns False on a skip.
 
     A single non-finite gradient aborts the whole step (no partial
@@ -89,10 +88,10 @@ def adamw_step(params, grads, state, lr, cfg):
             state.v[name].reshape(-1),
             state.step,
             lr,
-            cfg.beta1,
-            cfg.beta2,
-            cfg.eps,
-            cfg.weight_decay,
+            BETA1,
+            BETA2,
+            EPS,
+            WEIGHT_DECAY,
         )
     return True
 
@@ -132,7 +131,7 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
             for micro in range(cfg.grad_accum):
                 batch = batch_fn(step, micro)
                 noise_rng = root.child("noise", step, micro)
-                loss, count, decisions = mt.loss_on_batch(
+                loss, count, routing = mt.loss_on_batch(
                     provider, lm, batch, rng=noise_rng, training=True
                 )
                 if not np.isfinite(loss.value):
@@ -147,15 +146,13 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
                         accum[name] += g
                     else:
                         accum[name] = g.copy()
-                if decisions is not None:
-                    for d in decisions:
-                        for e in d.selected:
-                            step_counts[e] += 1
+                if routing is not None:
+                    step_counts += routing.mask.sum(axis=0)
             for name in accum:
                 accum[name] /= cfg.grad_accum
             grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in accum.values())))
             lr = lr_at(step, cfg)
-            adamw_step(params, accum, state, lr, cfg)
+            adamw_step(params, accum, state, lr)
             expert_totals += step_counts
             record = {
                 "step": step,

@@ -8,6 +8,7 @@ import pytest
 
 from promptmoe import cli
 from promptmoe import config as cf
+from promptmoe import data as dt
 from promptmoe.pretrain import PretrainConfig
 
 
@@ -99,6 +100,38 @@ def test_train_then_eval_and_inspect(tiny_config, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "per-task primary-expert counts" in text
     assert "selected=" in text
+
+
+@pytest.mark.parametrize("probationary", [True, False])
+def test_primary_expert_is_top_weighted_under_non_selective_routing(
+    tiny_config, tmp_path, capsys, probationary
+):
+    # every expert is kept, and expert 1 carries 95% of the weight
+    raw = json.loads(open(tiny_config).read())
+    raw["method"].update(selective=False, probationary=probationary)
+    cfg_path = tmp_path / "ns.json"
+    cfg_path.write_text(json.dumps(raw))
+    cache = str(tmp_path / "cache")
+    assert run_cli("train", "--config", str(cfg_path), "--seed", "3",
+                   "--out", str(tmp_path / "run"), "--cache-dir", cache, "--quiet") == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "run" / "checkpoint.npz"
+    with np.load(ckpt) as stored:
+        arrays = dict(stored)
+    arrays["router.W"][...] = 0.0
+    arrays["router.b"][...] = [0.0, 3.0]
+    np.savez(ckpt, **arrays)
+    data = tmp_path / "copy.jsonl"
+    dt.save_jsonl(data, dt.gen_synthetic("copy_span", 6, 21))
+    common = ("--config", str(cfg_path), "--checkpoint", str(ckpt), "--data", str(data),
+              "--cache-dir", cache)
+    assert run_cli("inspect-routing", *common) == 0
+    assert "copy_span: [0, 6]" in capsys.readouterr().out
+    assert run_cli("eval", *common, "--quiet") == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["count"] == 6
+    assert rep["expert_task_counts"] == {"copy_span": [0, 6]}
+    assert rep["expert_counts"] == [6, 6]
 
 
 def test_eval_checkpoint_under_mismatched_config_is_exit_2(tiny_config, tmp_path, capsys):

@@ -33,6 +33,10 @@ def test_unknown_key_names_valid_ones():
         ("train", "checkpoint_dir", "ckpt"),
         ("train", "loss_reduction", "mean"),
         ("train", "eval_every", 1),
+        ("train", "weight_decay", 0.1),
+        ("train", "beta1", 0.8),
+        ("train", "beta2", 0.99),
+        ("train", "eps", 1e-6),
         ("method", "router_mean_includes_pad", False),
     ],
 )

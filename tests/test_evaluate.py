@@ -66,6 +66,22 @@ def test_report_shape_and_counts(lm, provider):
     assert set(rep["expert_task_counts"]) == set(rep["per_task"])
 
 
+@pytest.mark.parametrize("probationary", [True, False])
+def test_primary_expert_is_top_weighted_under_non_selective_routing(lm, probationary):
+    # every expert is kept, and expert 1 carries 95% of the weight
+    cfg = mt.MethodConfig(
+        kind="PT_MOE", prompt_length=8, num_experts=2, rank=4, init_text="a b\n",
+        selective=False, probationary=probationary,
+    )
+    provider = mt.build(cfg, lm, RngStream(4).child("method"))
+    provider.router.w[...] = 0.0
+    provider.router.b[...] = [0.0, 3.0]
+    rep = ev.eval_dataset(provider, lm, dt.gen_synthetic("copy_span", 6, 21), batch_size=4)
+    assert rep["count"] == 6
+    assert rep["expert_task_counts"] == {"copy_span": [0, 6]}
+    assert rep["expert_counts"] == [6, 6]
+
+
 def test_eval_is_deterministic(lm, provider):
     examples = dt.gen_synthetic("copy_span", 8, 31)
     a = ev.eval_dataset(provider, lm, examples, batch_size=3)

@@ -1,5 +1,7 @@
 """Provider behaviors: budgets, input (in)dependence, routing composition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_routed_prompts_depend_only_on_router(lm):
     b, db = p.prompt_node(lm, tiny_batch(["ba\n"]))  # same bytes, same mean
     c, dc = p.prompt_node(lm, tiny_batch(["99\n"]))
     assert np.allclose(a.value, b.value, atol=1e-14)
-    assert da[0].selected == db[0].selected
+    assert np.array_equal(da.mask, db.mask)
     assert not np.allclose(a.value, c.value)
 
 
@@ -107,11 +109,11 @@ def test_ptmoe_prompt_matches_compose_oracle(lm):
                               selective=selective, probationary=probationary)
             p.stack[...] += np.random.default_rng(1).normal(size=p.stack.shape)
             for training in (False, True):
-                node, decisions = p.prompt_node(
+                node, routing = p.prompt_node(
                     lm, batch, rng=RngStream(2).child("noise"), training=training
                 )
-                for e, d in enumerate(decisions):
-                    want = compose(d.weights, p.stack, p.proj)
+                for e, weights in enumerate(routing.weights):
+                    want = compose(weights, p.stack, p.proj)
                     assert np.allclose(node.value[e], want, atol=1e-12)
 
 
@@ -122,19 +124,19 @@ def test_prompt_node_matches_closed_form(lm, kind, training):
     p = make_provider(lm, kind, num_experts=2, rank=4, router_w_std=4.0)
     p.stack[...] += np.random.default_rng(1).normal(size=p.stack.shape)  # distinct experts
     batch = tiny_batch(["copy: q r\n", "3+3 (mod 10)\n", "zz\n"])
-    node, decisions = p.prompt_node(lm, batch, rng=RngStream(2).child("noise"), training=training)
+    node, routing = p.prompt_node(lm, batch, rng=RngStream(2).child("noise"), training=training)
     assert node.value.shape == (3, p.prompt_length, lm.cfg.hidden)
-    assert (decisions is None) == (kind in ("PT", "DPT"))
+    assert (routing is None) == (kind in ("PT", "DPT"))
     for e in range(batch.size):
         if kind == "PT":
             want = p.stack[0]
         elif kind == "DPT":
             want = p.stack[0] @ p.proj
         elif kind == "SMOP":
-            (sel,) = decisions[e].selected
-            want = decisions[e].weights[sel] * p.stack[sel]
+            (sel,) = np.flatnonzero(routing.mask[e])
+            want = routing.weights[e, sel] * p.stack[sel]
         else:
-            want = compose(decisions[e].weights, p.stack, p.proj)
+            want = compose(routing.weights[e], p.stack, p.proj)
         assert np.allclose(node.value[e], want, atol=1e-12)
 
 
@@ -146,30 +148,21 @@ def test_ptmoe_n1_matches_dpt(lm):
     a, dec = moe.prompt_node(lm, batch)
     b, _ = dpt.prompt_node(lm, batch)
     assert np.allclose(a.value, b.value, atol=1e-12)
-    for d in dec:
-        assert d.selected == (0,)
-        assert d.weights[0] == 1.0
+    assert np.array_equal(dec.mask, np.ones((2, 1)))
+    assert np.array_equal(dec.weights, np.ones((2, 1)))
 
 
 def test_forced_one_hot_reproduces_single_expert(lm):
-    import promptmoe.router as rt
-
     p = make_provider(lm, "PT_MOE", num_experts=3, rank=4)
     batch = tiny_batch(["z z z\n"])
     _, base = p.prompt_node(lm, batch)
     want_idx = 2
-    forced = [
-        rt.RoutingDecision(
-            weights=np.eye(3)[want_idx],
-            selected=(want_idx,),
-            soft=base[0].soft,
-            logits=base[0].logits,
-            noisy_logits=base[0].noisy_logits,
-            mask=np.eye(3)[want_idx],
-            renorm=float(base[0].soft[want_idx]),
-        )
-    ]
-    node, _ = p.prompt_node(lm, batch, forced=forced)
+    # hand-edit the record: keep only expert 2, renormalized by its own softmax
+    forced = dataclasses.replace(
+        base, mask=np.eye(3)[[want_idx]], renorm=base.soft[:, [want_idx]]
+    )
+    node, replayed = p.prompt_node(lm, batch, forced=forced)
+    assert replayed.mask is forced.mask and replayed.renorm is forced.renorm
     want = p.stack[want_idx] @ p.proj
     # forced mask/renorm turn the straight-through weight into exactly 1
     assert np.allclose(node.value[0], want, atol=1e-12)
@@ -180,8 +173,8 @@ def test_smop_selects_one_short_prompt(lm):
     batch = tiny_batch(["m m m\n"])
     node, dec = p.prompt_node(lm, batch)
     assert node.value.shape == (1, 20, lm.cfg.hidden)
-    sel = dec[0].selected[0]
-    want = p.stack[sel] * dec[0].weights[sel]
+    (sel,) = np.flatnonzero(dec.mask[0])
+    want = p.stack[sel] * dec.weights[0, sel]
     assert np.allclose(node.value[0], want, atol=1e-12)
 
 
@@ -293,14 +286,14 @@ def test_full_model_gradcheck_all_modes(selective, probationary):
     loss_mask = np.array([[0, 0, 0, 1, 1], [0, 0, 0, 1, 1.0]])
     batch = Batch(token_ids=ids, attn_mask=attn, loss_mask=loss_mask)
 
-    _, _, decisions = mt.loss_on_batch(provider, lm, batch, training=False)
+    _, _, routing = mt.loss_on_batch(provider, lm, batch, training=False)
 
     def f(arrs):
-        # frozen decisions keep the finite differences on the smooth part
+        # a frozen selection keeps the finite differences on the smooth part
         for name, p in provider.param_arrays().items():
             p[...] = arrs[name]
         loss, count, _ = mt.loss_on_batch(
-            provider, lm, batch, training=False, forced=decisions
+            provider, lm, batch, training=False, forced=routing
         )
         return ad.scale(loss, 1.0 / count)
 

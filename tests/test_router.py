@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ def params_for(logit_bias, sigma=0.0, k=1, selective=True, probationary=True):
 
 
 def route_one(mu, params, rng=None, training=False):
-    """``route_batch`` on a single example (B=1); returns its decision."""
-    _, decisions = router.route_batch(
+    """``route_batch`` on a single example (B=1); returns its ``Routing``."""
+    _, routing = router.route_batch(
         np.asarray(mu, dtype=float)[None],
         ad.const(params.w),
         ad.const(params.b),
@@ -29,7 +31,26 @@ def route_one(mu, params, rng=None, training=False):
         rng=rng,
         training=training,
     )
-    return decisions[0]
+    return routing
+
+
+def selected(routing, e=0):
+    """Kept expert indices of example e, ascending."""
+    return tuple(np.flatnonzero(routing.mask[e]).tolist())
+
+
+def select_oracle(soft, params):
+    """Per-example top-k mask and renorm constant: the selection as a loop."""
+    n = soft.shape[0]
+    if params.selective:
+        order = np.argsort(-soft, kind="stable")  # stable = lowest index wins ties
+        keep = np.sort(order[: params.k])
+    else:
+        keep = np.arange(n)
+    mask = np.zeros(n)
+    mask[keep] = 1.0
+    renorm = 1.0 if params.probationary else float((soft * mask).sum())
+    return mask, renorm
 
 
 def softmax(x):
@@ -40,21 +61,27 @@ def softmax(x):
 def test_route_frozen_example_probationary():
     # zero weights + bias [1, 0]: softmax = [0.73106, 0.26894], keep top-1
     d = route_one(np.zeros(4), params_for([1.0, 0.0]))
-    assert d.weights == pytest.approx([0.73106, 0.0], abs=1e-5)
-    assert d.selected == (0,)
+    assert d.weights[0] == pytest.approx([0.73106, 0.0], abs=1e-5)
+    assert selected(d) == (0,)
 
 
 def test_route_frozen_example_renormalized():
     d = route_one(np.zeros(4), params_for([1.0, 0.0], probationary=False))
-    assert d.weights == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert d.weights[0] == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_route_tie_breaks_to_lowest_index():
     d = route_one(np.zeros(4), params_for([0.5, 0.5]))
-    assert d.selected == (0,)
+    assert selected(d) == (0,)
+    assert d.primary.tolist() == [0]
     for _ in range(5):
         again = route_one(np.zeros(4), params_for([0.5, 0.5]))
-        assert again.selected == (0,)
+        assert selected(again) == (0,)
+    # a whole batch of tied rows, k=2 of 3 tied experts: the two lowest win
+    p = params_for([0.5, 0.5, 0.5], k=2)
+    _, batch = router.route_batch(np.zeros((4, 4)), ad.const(p.w), ad.const(p.b), p)
+    assert np.array_equal(batch.mask, np.tile([1.0, 1.0, 0.0], (4, 1)))
+    assert batch.primary.tolist() == [0, 0, 0, 0]
 
 
 def test_route_inference_is_bitwise_deterministic():
@@ -64,16 +91,16 @@ def test_route_inference_is_bitwise_deterministic():
     first = route_one(mu, p)
     second = route_one(mu, p)
     assert np.array_equal(first.weights, second.weights)
-    assert first.selected == second.selected
+    assert np.array_equal(first.mask, second.mask)
 
 
 def test_argmax_invariant_under_logit_shift():
     rng = np.random.default_rng(1)
     p = router.RouterParams(w=rng.normal(size=(4, 5)), b=rng.normal(size=4), k=2)
     mu = rng.normal(size=5)
-    base = route_one(mu, p).selected
+    base = selected(route_one(mu, p))
     shifted = router.RouterParams(w=p.w, b=p.b + 7.5, k=2)
-    assert route_one(mu, shifted).selected == base
+    assert selected(route_one(mu, shifted)) == base
 
 
 def test_single_expert_all_modes_degenerate():
@@ -83,8 +110,8 @@ def test_single_expert_all_modes_degenerate():
                 np.zeros(4),
                 params_for([0.3], selective=selective, probationary=probationary),
             )
-            assert d.weights == pytest.approx([1.0], abs=0)
-            assert d.selected == (0,)
+            assert d.weights[0] == pytest.approx([1.0], abs=0)
+            assert selected(d) == (0,)
 
 
 def test_selective_full_k_equals_non_selective_probationary():
@@ -101,9 +128,9 @@ def test_weights_zero_outside_selected_and_counts():
     rng = np.random.default_rng(3)
     p = router.RouterParams(w=rng.normal(size=(5, 6)), b=rng.normal(size=5), k=2)
     d = route_one(rng.normal(size=6), p)
-    assert len(d.selected) == 2
-    off = [i for i in range(5) if i not in d.selected]
-    assert np.all(d.weights[off] == 0.0)
+    assert len(selected(d)) == 2
+    off = [i for i in range(5) if i not in selected(d)]
+    assert np.all(d.weights[0, off] == 0.0)
 
 
 def test_non_probationary_weights_sum_to_one():
@@ -122,7 +149,7 @@ def test_training_noise_requires_rng_and_is_neutral_in_mean():
     stream = RngStream(77)
     draws = np.array(
         [
-            route_one(np.zeros(4), p, rng=stream.child("noise", i), training=True).noisy_logits
+            route_one(np.zeros(4), p, rng=stream.child("noise", i), training=True).noisy_logits[0]
             for i in range(10_000)
         ]
     )
@@ -137,7 +164,7 @@ def test_training_noise_std_matches_sigma():
     eps = []
     for i in range(10_000):
         d = route_one(np.zeros(4), p, rng=stream.child("noise", i), training=True)
-        eps.extend(d.noisy_logits / d.logits - 1.0)
+        eps.extend(d.noisy_logits[0] / d.logits[0] - 1.0)
     sd = np.std(eps)
     assert 0.0098 <= sd <= 0.0102
 
@@ -158,7 +185,7 @@ def test_router_params_validation():
 
 
 def test_straight_through_forward_matches_decision():
-    # the differentiable weight node carries exactly the decisions' weights
+    # the differentiable weight node carries the record's weights
     rng = np.random.default_rng(8)
     mu = rng.normal(size=(3, 6))
     for selective in (True, False):
@@ -167,16 +194,15 @@ def test_straight_through_forward_matches_decision():
                 w=rng.normal(size=(4, 6)), b=rng.normal(size=4), k=2,
                 selective=selective, probationary=probationary,
             )
-            wn, decisions = router.route_batch(mu, ad.leaf(p.w, "w"), ad.leaf(p.b, "b"), p)
-            for e, d in enumerate(decisions):
-                assert np.allclose(wn.value[e], d.weights, rtol=0, atol=1e-15)
+            wn, routing = router.route_batch(mu, ad.leaf(p.w, "w"), ad.leaf(p.b, "b"), p)
+            assert np.allclose(wn.value, routing.weights, rtol=0, atol=1e-15)
 
 
 def test_straight_through_unselected_logit_gets_zero_grad():
     # selective k=1: the weight path must not carry gradient to expert 1
     p = params_for([1.0, 0.0])
     b = ad.leaf(p.b.copy(), "b")
-    wn, decisions = router.route_batch(np.zeros((1, 4)), ad.const(p.w), b, p)
+    wn, _ = router.route_batch(np.zeros((1, 4)), ad.const(p.w), b, p)
     target = np.array([[1.0, 0.0]])
     loss = ad.sum_all(ad.mul(wn, ad.const(target)))
     grads = ad.backward(loss)
@@ -196,12 +222,60 @@ def test_route_batch_matches_route_per_example():
     rng = np.random.default_rng(5)
     p = router.RouterParams(w=rng.normal(size=(3, 6)), b=rng.normal(size=3), k=2)
     mu = rng.normal(size=(4, 6))
-    wn, decisions = router.route_batch(mu, ad.const(p.w), ad.const(p.b), p)
+    wn, routing = router.route_batch(mu, ad.const(p.w), ad.const(p.b), p)
     for e in range(4):
         single = route_one(mu[e], p)
-        assert np.allclose(wn.value[e], single.weights, rtol=0, atol=1e-15)
-        assert np.allclose(decisions[e].soft, single.soft, rtol=0, atol=1e-15)
-        assert decisions[e].selected == single.selected
+        assert np.allclose(wn.value[e], single.weights[0], rtol=0, atol=1e-15)
+        assert np.allclose(routing.soft[e], single.soft[0], rtol=0, atol=1e-15)
+        assert selected(routing, e) == selected(single)
+
+
+def test_route_batch_selection_matches_per_example_oracle():
+    # random batches with exact ties, all four modes, every k, both phases
+    rng = np.random.default_rng(9)
+    for trial in range(60):
+        n = int(rng.integers(1, 6))
+        w = rng.normal(size=(n, 4))
+        b = rng.normal(size=n)
+        tied = rng.integers(0, n, n)  # copy some experts' rows: exact logit ties
+        w, b = w[tied], b[tied]
+        b[rng.random(n) < 0.3] = 0.0
+        mu = rng.normal(size=(6, 4))
+        mu[rng.random(6) < 0.4] = 0.0  # logits == b; zero logits tie under noise too
+        training = bool(trial % 2)
+        for selective in (True, False):
+            for probationary in (True, False):
+                for k in range(1, n + 1):
+                    p = router.RouterParams(
+                        w=w, b=b, sigma=0.5, k=k, selective=selective, probationary=probationary
+                    )
+                    wn, got = router.route_batch(
+                        mu, ad.const(w), ad.const(b), p,
+                        rng=RngStream(trial).child("noise", k), training=training,
+                    )
+                    for e in range(mu.shape[0]):
+                        mask, renorm = select_oracle(got.soft[e], p)
+                        assert np.array_equal(got.mask[e], mask)
+                        assert np.array_equal(got.renorm[e], [renorm])
+                        assert np.array_equal(got.weights[e], got.soft[e] * mask / renorm)
+                        assert np.array_equal(wn.value[e], got.soft[e] * (mask / renorm))
+                    # a replay reuses the record's selection whatever the mode
+                    other = dataclasses.replace(p, k=1, selective=not selective)
+                    _, again = router.route_batch(
+                        mu, ad.const(w), ad.const(b), other,
+                        rng=RngStream(trial).child("noise", k), training=training, forced=got,
+                    )
+                    assert again.mask is got.mask and again.renorm is got.renorm
+                    assert np.array_equal(again.weights, got.weights)
+
+
+def test_primary_is_top_weighted_expert():
+    # expert 1 carries most weight; primary follows weight, not kept index order
+    for selective in (True, False):
+        for probationary in (True, False):
+            p = params_for([0.0, 3.0, 1.0], k=2, selective=selective, probationary=probationary)
+            d = route_one(np.zeros(4), p)
+            assert d.primary.tolist() == [1]
 
 
 def test_route_batch_gradcheck_all_modes():

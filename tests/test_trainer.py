@@ -66,17 +66,17 @@ def test_zero_grads_no_decay_params_bitwise_unchanged():
     before = p.copy()
     params = {"p": p}
     state = tr.AdamWState(params)
-    cfg = tr.TrainConfig(steps=1, weight_decay=0.0)
-    assert tr.adamw_step(params, {"p": np.zeros_like(p)}, state, 0.01, cfg)
+    assert tr.WEIGHT_DECAY == 0.0
+    assert tr.adamw_step(params, {"p": np.zeros_like(p)}, state, 0.01)
     assert (p == before).all()
 
 
-def test_zero_grads_decay_only_closed_form():
+def test_zero_grads_decay_only_closed_form(monkeypatch):
     p = np.array([2.0, -3.0, 0.5])
     params = {"p": p}
     state = tr.AdamWState(params)
-    cfg = tr.TrainConfig(steps=1, weight_decay=0.1)
-    tr.adamw_step(params, {"p": np.zeros_like(p)}, state, 0.01, cfg)
+    monkeypatch.setattr(tr, "WEIGHT_DECAY", 0.1)  # the step reads the constant per call
+    tr.adamw_step(params, {"p": np.zeros_like(p)}, state, 0.01)
     # theta <- theta - lr*wd*theta = 0.999*theta
     np.testing.assert_allclose(p, 0.999 * np.array([2.0, -3.0, 0.5]), rtol=0, atol=1e-15)
 
@@ -85,8 +85,8 @@ def test_three_step_recursion_matches_hand_iteration():
     p = np.array([0.7])
     params = {"p": p}
     state = tr.AdamWState(params)
-    cfg = tr.TrainConfig(steps=3, weight_decay=0.0)
-    lr, b1, b2, eps = 0.01, cfg.beta1, cfg.beta2, cfg.eps
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    assert (tr.BETA1, tr.BETA2, tr.EPS, tr.WEIGHT_DECAY) == (b1, b2, eps, 0.0)
 
     theta, m, v = 0.7, 0.0, 0.0
     for t in range(1, 4):
@@ -96,7 +96,7 @@ def test_three_step_recursion_matches_hand_iteration():
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
         theta -= lr * mhat / (np.sqrt(vhat) + eps)
-        tr.adamw_step(params, {"p": np.ones(1)}, state, lr, cfg)
+        tr.adamw_step(params, {"p": np.ones(1)}, state, lr)
         assert abs(p[0] - theta) < 1e-12
 
 
@@ -105,9 +105,8 @@ def test_nonfinite_grad_skips_whole_step():
     q = np.array([3.0])
     params = {"p": p, "q": q}
     state = tr.AdamWState(params)
-    cfg = tr.TrainConfig(steps=1)
     grads = {"p": np.array([0.1, np.nan]), "q": np.array([0.2])}
-    ok = tr.adamw_step(params, grads, state, 0.01, cfg)
+    ok = tr.adamw_step(params, grads, state, 0.01)
     assert not ok
     assert state.skipped == 1
     assert state.step == 0  # bias correction must not advance on a skip
