@@ -141,7 +141,7 @@ def cmd_sweep(args):
 def cmd_inspect_routing(args):
     rc = _load_config(args.config)
     provider, lm, _, _, _ = _provider_for(args, rc)
-    if provider.router is None:
+    if provider.router_w is None:
         raise ConfigError(f"{provider.cfg.kind} has no router to inspect")
     if args.data:
         examples = dt.load_jsonl(args.data)

@@ -1,9 +1,11 @@
 """Run configuration: one JSON file drives pretraining, training, and eval.
 
-Keys inside each section are exactly the dataclass field names; unknown
-keys are rejected loudly rather than ignored, since a typo like
-"warmup_step" silently falling back to a default is the worst failure
-mode a config system can have.
+Keys inside each section are exactly the dataclass field names, and each
+field's default is its shipped desk value, so a file may set any subset
+of keys and the rest keep their shipped values. Unknown keys are
+rejected loudly rather than ignored, since a typo like "warmup_step"
+silently falling back to a default is the worst failure mode a config
+system can have.
 """
 
 import dataclasses
@@ -51,6 +53,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_new < 0:
+            raise ConfigError(f"max_new must be >= 0, got {self.max_new}")
 
 
 @dataclass
@@ -76,14 +80,6 @@ def _build_section(cls, raw, where):
     unknown = set(raw) - names
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; valid: {sorted(names)}")
-    required = {
-        f.name
-        for f in dataclasses.fields(cls)
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-    }
-    missing = required - set(raw)
-    if missing:
-        raise ConfigError(f"{where}: missing required key(s) {sorted(missing)}")
     return cls(**raw)
 
 
@@ -120,28 +116,5 @@ def to_dict(rc):
 
 
 def default_run_config():
-    """The shipped desk-scale setup: PT-MoE at the scaled reference budget."""
-    return from_dict(
-        {
-            "method": {
-                "kind": "PT_MOE",
-                "prompt_length": 40,
-                "num_experts": 2,
-                "rank": "auto",
-                "budget": 2522,  # 80,706 scaled by 64/2048
-                "init_text": "copy: a b c\na b c\n3+4 (mod 10)\n7\n",
-                "router_w_std": 6.0,
-            },
-            "train": {
-                "steps": 500,
-                "batch_size": 8,
-                "warmup_steps": 50,
-                "lr": 0.05,
-                "grad_accum": 2,
-                "seed": 7,
-            },
-            "base": {},
-            "data": {},
-            "eval": {},
-        }
-    )
+    """The shipped desk-scale setup: every section at its dataclass defaults."""
+    return from_dict({})

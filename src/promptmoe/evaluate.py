@@ -76,7 +76,7 @@ def eval_dataset(
     its batch; a fixed ``max_new`` makes predictions independent of
     batching. ``expert_task_counts`` tallies ``Routing.primary`` per task.
     """
-    routed = provider.router is not None
+    routed = provider.router_w is not None
     expert_counts = np.zeros(provider.stack.shape[0], dtype=np.int64) if routed else None
     expert_task = {} if routed else None
 

@@ -26,21 +26,24 @@ from .errors import ConfigError
 from .linalg import mean_rows
 
 KINDS = ("PT", "DPT", "SMOP", "PT_MOE")
+ROUTED_KINDS = ("SMOP", "PT_MOE")
 
 
 @dataclass
 class MethodConfig:
+    """A method's shape and router settings; the defaults are the shipped desk run."""
+
     kind: str = "PT_MOE"
     prompt_length: int = 40
     num_experts: int = 2
-    rank: object = 36  # int or "auto" (requires budget)
-    budget: int = 0
+    rank: object = "auto"  # int, or "auto": the largest rank within the budget
+    budget: int = 0  # 0 = the kind's reference budget scaled to the base width
     sigma: float = 0.01
     k: int = 1
     selective: bool = True
     probationary: bool = True
-    init_text: str = ""
-    router_w_std: float = 1.0
+    init_text: str = "copy: a b c\na b c\n3+4 (mod 10)\n7\n"
+    router_w_std: float = 6.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -56,21 +59,24 @@ class MethodConfig:
                 f"SMOP needs prompt_length divisible by num_experts, got "
                 f"{self.prompt_length} and {self.num_experts}"
             )
-        if self.rank == "auto" and self.kind in ("DPT", "PT_MOE") and self.budget < 1:
-            raise ConfigError("rank 'auto' needs a positive budget")
+        if self.budget < 0:
+            raise ConfigError(f"budget must be >= 0, got {self.budget}")
+        if self.kind in ROUTED_KINDS:
+            if self.sigma < 0:
+                raise ConfigError(f"router noise sigma must be >= 0, got {self.sigma}")
+            if not 1 <= self.k <= self.num_experts:
+                raise ConfigError(f"top-k {self.k} out of range for {self.num_experts} experts")
 
     def resolve_rank(self, h):
+        """Rank of the shared projection at base width h (None for PT and SMOP)."""
         if self.kind in ("PT", "SMOP"):
             return None
-        if self.rank == "auto":
-            if self.kind == "PT_MOE":
-                return pb.auto_rank(self.budget, self.num_experts, self.prompt_length, h)
-            # DPT has no router cost: largest r with t*r + r*h <= budget
-            r = self.budget // (self.prompt_length + h)
-            if r < 1:
-                raise ConfigError(f"budget {self.budget} below DPT rank-1 cost")
-            return r
-        return int(self.rank)
+        if self.rank != "auto":
+            return int(self.rank)
+        return pb.auto_rank(
+            self.budget or scaled_budget(self.kind, h), self.num_experts, self.prompt_length, h,
+            routed=self.kind in ROUTED_KINDS,
+        )
 
 
 def init_text_embeddings(lm, text, t):
@@ -90,16 +96,18 @@ class Provider:
     """One prompt provider for all four methods.
 
     ``stack`` is an (n, t', w) expert stack; ``proj`` an optional shared
-    (r, h) projection (DPT, PT_MOE, where w = r); ``router`` optional
-    RouterParams (SMOP, PT_MOE). Without a router every example weights
-    its single expert by 1.
+    (r, h) projection (DPT, PT_MOE, where w = r); ``router_w`` and
+    ``router_b`` the optional (n, h) and (n,) router arrays (SMOP, PT_MOE),
+    routed under ``cfg``'s router settings. Without a router every example
+    weights its single expert by 1.
     """
 
-    def __init__(self, cfg, stack, proj=None, router=None):
+    def __init__(self, cfg, stack, proj=None, router_w=None, router_b=None):
         self.cfg = cfg
         self.stack = stack
         self.proj = proj
-        self.router = router
+        self.router_w = router_w
+        self.router_b = router_b
         self.stack_name = {"PT": "pt.P", "SMOP": "smop.P"}.get(cfg.kind, "bank.A")
 
     @property
@@ -110,8 +118,8 @@ class Provider:
         out = {self.stack_name: self.stack}
         if self.proj is not None:
             out["bank.B"] = self.proj
-        if self.router is not None:
-            out.update({"router.W": self.router.w, "router.b": self.router.b})
+        if self.router_w is not None:
+            out.update({"router.W": self.router_w, "router.b": self.router_b})
         return out
 
     def param_count(self):
@@ -119,14 +127,14 @@ class Provider:
 
     def prompt_node(self, lm, batch, rng=None, training=False, forced=None):
         """(b, t', h) prompt node and the batch's ``Routing`` (None without a router)."""
-        if self.router is None:
+        if self.router_w is None:
             weights, routing = ad.const(np.ones((batch.size, 1))), None
         else:
             weights, routing = rt.route_batch(
                 mean_rows(lm.embed(batch.token_ids), batch.attn_mask),
-                ad.leaf(self.router.w, "router.W"),
-                ad.leaf(self.router.b, "router.b"),
-                self.router,
+                ad.leaf(self.router_w, "router.W"),
+                ad.leaf(self.router_b, "router.b"),
+                self.cfg,
                 rng=rng,
                 training=training,
                 forced=forced,
@@ -141,18 +149,14 @@ def build(cfg, lm, rng):
     """Instantiate a provider with its initialization text baked in."""
     t, h, n = cfg.prompt_length, lm.cfg.hidden, cfg.num_experts
     e = init_text_embeddings(lm, cfg.init_text, t)
-    proj = router = None
+    proj = w = b = None
     if cfg.kind in ("PT", "SMOP"):
         stack = np.array(e.reshape(n, t // n, h))  # SMOP: n consecutive spans of t/n rows
     else:
         stack, proj = pb.init_from_embeddings(e, n=n, r=cfg.resolve_rank(h))
-    if cfg.kind in ("SMOP", "PT_MOE"):
+    if cfg.kind in ROUTED_KINDS:
         w, b = rt.init_router(n, h, rng.child("router"), w_std=cfg.router_w_std)
-        router = rt.RouterParams(
-            w=w, b=b, sigma=cfg.sigma, k=cfg.k,
-            selective=cfg.selective, probationary=cfg.probationary,
-        )
-    return Provider(cfg, stack, proj, router)
+    return Provider(cfg, stack, proj, w, b)
 
 
 def loss_on_batch(provider, lm, batch, rng=None, training=False, forced=None):
@@ -185,27 +189,18 @@ def scaled_budget(kind, h):
     return int(round(REFERENCE_BUDGETS[kind] * h / REFERENCE_H))
 
 
-def scaled_method_config(kind, h, **overrides):
-    """A MethodConfig hitting the reference budget scaled to width h.
-
-    PT and SMoP have no rank knob, so their budgets land wherever T=40
-    puts them; DPT and PT_MOE solve for the largest rank under the scaled
-    budget. All four stay within a few percent of the common target.
-    """
-    base = {"kind": kind}
-    if kind in ("DPT", "PT_MOE"):
-        base["rank"] = "auto"
-        base["budget"] = scaled_budget(kind, h)
-    base.update(overrides)
-    return MethodConfig(**base)
-
-
 def budget_table(h):
-    """Rows of (kind, params, label, scaled target, relative error)."""
+    """Rows of (kind, params, label, scaled target, relative error).
+
+    Each kind runs at its defaults: PT and SMoP have no rank knob, so their
+    budgets land wherever T=40 puts them; DPT and PT_MOE take the largest
+    rank under their scaled reference budget. All four stay within a few
+    percent of the common target.
+    """
     target = 82000 * h / REFERENCE_H  # common "82k-equivalent" yardstick
     rows = []
     for kind in KINDS:
-        cfg = scaled_method_config(kind, h)
+        cfg = MethodConfig(kind=kind)
         r = cfg.resolve_rank(h)
         count = expected_param_count(kind, cfg.prompt_length, cfg.num_experts, r or 0, h)
         rows.append((kind, count, pb.format_k(count), target, (count - target) / target))

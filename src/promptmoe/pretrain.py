@@ -22,7 +22,7 @@ from .data import pad_right
 from .errors import NumericalError
 from .linalg import RngStream
 from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
-from .trainer import AdamWState, adamw_step
+from .trainer import AdamWState, adamw_step, read_npz, write_npz
 from . import autodiff as ad
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -164,27 +164,23 @@ def gen_corpus(count, seed):
     return out
 
 
-def _doc_batch(docs, idx, pack_len=None):
-    """Rows of one doc each (1-D idx) or several packed docs (2-D idx).
+def _doc_batch(docs, idx, pack_len):
+    """One row per row of ``idx``, packing its docs in order up to ``pack_len`` tokens.
 
     Packing concatenates whole documents, cropping the last one at
-    ``pack_len``. Downstream runs place tuned prompts in front of the
-    input, so answer tokens live at depths no single document reaches;
-    without packing those positions are never trained and generation
-    there degenerates.
+    ``pack_len``; a row whose docs run out first is right-padded.
+    Downstream runs place tuned prompts in front of the input, so answer
+    tokens live at depths no single document reaches; without packing
+    those positions are never trained and generation there degenerates.
     """
-    idx = np.asarray(idx)
-    if idx.ndim == 1:
-        seqs = [docs[i] for i in idx]
-    else:
-        seqs = []
-        for row in idx:
-            buf = []
-            for i in row:
-                if len(buf) >= pack_len:
-                    break
-                buf.extend(docs[i])
-            seqs.append(buf[:pack_len])
+    seqs = []
+    for row in idx:
+        buf = []
+        for i in row:
+            if len(buf) >= pack_len:
+                break
+            buf.extend(docs[i])
+        seqs.append(buf[:pack_len])
     ids, attn = pad_right(seqs)
     return Batch(token_ids=ids, attn_mask=attn, loss_mask=attn.copy())
 
@@ -240,18 +236,20 @@ def save_base(path, pcfg, lm):
     arrays["config_json"] = np.frombuffer(
         json.dumps(asdict(pcfg), sort_keys=True).encode(), dtype=np.uint8
     ).copy()
-    np.savez(path, **arrays)
+    write_npz(path, arrays)
 
 
 def load_base(path):
-    with np.load(path) as arrays:
-        cfg_raw = json.loads(bytes(arrays["config_json"]).decode())
-        pcfg = PretrainConfig(**cfg_raw)
-        params = {
-            k.removeprefix("lm."): np.array(arrays[k], dtype=np.float64)
-            for k in arrays.files
-            if k.startswith("lm.")
-        }
+    """The frozen model and its config from a cache file; ConfigError if unreadable."""
+    arrays = read_npz(
+        path, "base model cache", "; rebuild it with `promptmoe pretrain-base --force`"
+    )
+    pcfg = PretrainConfig(**json.loads(bytes(arrays["config_json"]).decode()))
+    params = {
+        k.removeprefix("lm."): np.asarray(v, dtype=np.float64)  # read_npz's arrays are fresh: no copy
+        for k, v in arrays.items()
+        if k.startswith("lm.")
+    }
     return ToyLM(pcfg.lm_config(), params, frozen=True), pcfg
 
 

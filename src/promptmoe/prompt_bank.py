@@ -37,11 +37,9 @@ def format_k(count):
     return f"{count // 1000}k"
 
 
-def auto_rank(budget, n, t, h):
-    """Largest rank whose routed bank fits the budget (router cost included)."""
-    router_cost = n * h + n
-    if budget <= router_cost:
-        raise ConfigError(f"budget {budget} cannot cover the router alone ({router_cost})")
+def auto_rank(budget, n, t, h, routed):
+    """Largest rank r whose bank (n*t*r + r*h), plus the router when routed, fits the budget."""
+    router_cost = n * h + n if routed else 0
     r = (budget - router_cost) // (n * t + h)
     if r < 1:
         raise ConfigError(

@@ -27,32 +27,6 @@ from .errors import ConfigError
 
 
 @dataclass
-class RouterParams:
-    w: np.ndarray
-    b: np.ndarray
-    sigma: float = 0.01
-    k: int = 1
-    selective: bool = True
-    probationary: bool = True
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.w.ndim != 2 or self.b.shape != (self.w.shape[0],):
-            raise ConfigError(
-                f"router wants w (n,h) and b (n,), got {self.w.shape} and {self.b.shape}"
-            )
-        if self.sigma < 0:
-            raise ConfigError(f"noise std must be >= 0, got {self.sigma}")
-        if not 1 <= self.k <= self.n:
-            raise ConfigError(f"top-k {self.k} out of range for {self.n} experts")
-
-    @property
-    def n(self):
-        return self.w.shape[0]
-
-
-@dataclass
 class Routing:
     """One batch's routing as (b, n) arrays, plus the (b, 1) ``renorm``.
 
@@ -84,25 +58,27 @@ def init_router(n, h, rng, w_std=1.0):
     return np.asarray(rng.normal((n, h), std=w_std)), np.zeros(n)
 
 
-def route_batch(mu, w_node, b_node, params, rng=None, training=False, forced=None):
+def route_batch(mu, w_node, b_node, cfg, rng=None, training=False, forced=None):
     """Route a batch of examples; the one router for training and inference.
 
     ``mu`` is the raw (b, h) mean-embedding matrix (the base model is
-    frozen, so no gradient flows into it). Noise is drawn per example.
-    Returns the (b, n) straight-through weight node and the batch's
-    ``Routing``.
+    frozen, so no gradient flows into it); ``w_node`` and ``b_node`` hold
+    the (n, h) and (n,) router parameters; ``cfg`` is the
+    ``methods.MethodConfig`` whose ``sigma``, ``k``, ``selective`` and
+    ``probationary`` apply. Noise is drawn per example. Returns the (b, n)
+    straight-through weight node and the batch's ``Routing``.
 
     ``forced`` replays an earlier ``Routing``: its mask and renorm constants
     are reused instead of recomputed, which is how gradient checks hold the
     non-differentiable selection fixed while probing the smooth part.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    bsize = mu.shape[0]
     logits = ad.add(ad.matmul(ad.const(mu), ad.transpose(w_node, (1, 0))), b_node)
+    bsize, n = logits.value.shape
     if training:
         if rng is None:
             raise ConfigError("training-time routing needs an rng for the noise draw")
-        eps = np.asarray(rng.normal((bsize, params.n), std=params.sigma))
+        eps = np.asarray(rng.normal((bsize, n), std=cfg.sigma))
         noisy = ad.mul(logits, ad.const(1.0 + eps))
     else:
         noisy = logits
@@ -110,14 +86,14 @@ def route_batch(mu, w_node, b_node, params, rng=None, training=False, forced=Non
     if forced is not None:
         mask, renorm = forced.mask, forced.renorm
     else:
-        if params.selective:
+        if cfg.selective:
             # stable sort of -soft: the lowest index wins ties
-            keep = np.argsort(-soft.value, axis=1, kind="stable")[:, : params.k]
-            mask = np.zeros((bsize, params.n))
+            keep = np.argsort(-soft.value, axis=1, kind="stable")[:, : cfg.k]
+            mask = np.zeros((bsize, n))
             np.put_along_axis(mask, keep, 1.0, axis=1)
         else:
-            mask = np.ones((bsize, params.n))
-        if params.probationary:
+            mask = np.ones((bsize, n))
+        if cfg.probationary:
             renorm = np.ones((bsize, 1))
         else:
             renorm = (soft.value * mask).sum(axis=1, keepdims=True)

@@ -37,14 +37,7 @@ def build_datasets(dc):
     return train, test_id, test_ood
 
 
-def run_training(
-    rc,
-    seed=None,
-    cache_dir=".cache",
-    out_dir=None,
-    log_fn=None,
-    keep_records=False,
-):
+def run_training(rc, seed=None, cache_dir=".cache", out_dir=None, log_fn=None):
     """Train one method per the run config; return a JSON-able result."""
     say = log_fn or (lambda *_: None)
     cfg = rc.train if seed is None else dataclasses.replace(rc.train, seed=int(seed))
@@ -78,7 +71,6 @@ def run_training(
         batch_size=rc.eval.batch_size,
         max_new=rc.eval.max_new or None,
         raw=rc.eval.raw_match,
-        keep_records=keep_records,
     )
 
     out = {

@@ -12,7 +12,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from . import methods as mt
 from .errors import ConfigError
 from .runner import run_training
 
@@ -77,9 +76,6 @@ def apply_axis(rc, axis, value):
         if h % rc.base.heads != 0:
             raise ConfigError(f"hidden {h} not divisible by {rc.base.heads} heads")
         base = dataclasses.replace(rc.base, hidden=h)
-        if method.rank == "auto" and method.budget:
-            # keep the comparison budget-matched at the new width
-            method = dataclasses.replace(method, budget=mt.scaled_budget(method.kind, h))
     else:
         raise ConfigError(f"unknown axis {axis!r}")
     return dataclasses.replace(rc, method=method, base=base)

@@ -6,7 +6,9 @@ step, micro-step): a resumed run re-derives exactly the draws an
 uninterrupted run would have made, so trajectories match bitwise.
 """
 
+import contextlib
 import json
+import os
 import zipfile
 from dataclasses import dataclass
 
@@ -24,18 +26,23 @@ BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.0
 
 @dataclass
 class TrainConfig:
+    """Prompt-tuning schedule; the defaults are the shipped desk run."""
+
     steps: int = 500
     batch_size: int = 8
-    warmup_steps: int = 500
-    lr: float = 2e-5
+    warmup_steps: int = 50
+    lr: float = 0.05
     grad_accum: int = 2
-    seed: int = 0
+    seed: int = 7
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.grad_accum < 1:
-            raise ConfigError(f"grad_accum must be >= 1, got {self.grad_accum}")
+        for name in ("steps", "batch_size", "grad_accum"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
 
 
 def lr_at(step, cfg):
@@ -173,10 +180,39 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
     return TrainResult(metrics, state, cfg.steps, expert_totals)
 
 
+def write_npz(path, arrays):
+    """Save arrays as an .npz at ``path`` atomically.
+
+    The archive goes to a temporary file in the same directory, is flushed
+    to disk, then renamed over ``path``, so an interrupted write never
+    leaves a truncated file where a reader looks.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, **arrays)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def read_npz(path, what, remedy=""):
+    """Every array of the .npz at ``path``; ConfigError naming ``what`` if unreadable."""
+    try:
+        with np.load(path) as arrays:
+            return {k: arrays[k] for k in arrays.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}{remedy}") from e
+
+
 def save_checkpoint(path, provider, state, step, cfg):
     arrays = {**provider.param_arrays(), **state.to_arrays()}
     arrays["train.meta"] = np.array([step, cfg.seed], dtype=np.int64)
-    np.savez(path, **arrays)
+    write_npz(path, arrays)
 
 
 def load_checkpoint(path, provider):
@@ -187,11 +223,7 @@ def load_checkpoint(path, provider):
     readable .npz archive, or a checkpoint written under another method or
     other shapes, raises ConfigError before anything is copied.
     """
-    try:
-        with np.load(path) as arrays:
-            data = {k: arrays[k] for k in arrays.files}
-    except (OSError, ValueError, zipfile.BadZipFile) as e:
-        raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
+    data = read_npz(path, "checkpoint")
     params = provider.param_arrays()
     state = AdamWState(params)
     expected = {**params, **state.to_arrays(), "train.meta": np.zeros(2)}

@@ -98,11 +98,12 @@ def test_gradients_all_routing_modes(capsys):
         mcfg = mt.MethodConfig(
             kind="PT_MOE", prompt_length=8, num_experts=2, rank=4,
             selective=selective, probationary=probationary, init_text="a 1 b 2\n",
+            router_w_std=1.0,
         )
         provider = mt.build(mcfg, lm, RngStream(22).child("method"))
         jit = np.random.default_rng(5)
         provider.stack += jit.normal(0.0, 0.05, provider.stack.shape)
-        provider.router.w += jit.normal(0.0, 0.05, provider.router.w.shape)
+        provider.router_w += jit.normal(0.0, 0.05, provider.router_w.shape)
         ids = np.array([[97, 98, 10, 99, 100], [49, 50, 10, 51, 52]], dtype=np.int64)
         batch = Batch(
             token_ids=ids,
@@ -154,7 +155,7 @@ def test_factorized_init_contract(capsys):
     lm.freeze()
     provider = mt.build(
         mt.MethodConfig(kind="PT_MOE", prompt_length=6, num_experts=3, rank=2,
-                        init_text="a b c\n"),
+                        init_text="a b c\n", router_w_std=1.0),
         lm, RngStream(2).child("method"),
     )
     identical = all(
@@ -178,36 +179,37 @@ def test_routing_invariants(capsys):
     b = rng.normal(size=4)
     mu = rng.normal(size=16)
 
-    def route_one(params):
-        return rt.route_batch(mu[None], params.w, params.b, params)[1]
+    def router_cfg(n, **settings):
+        return cf.from_dict({"method": {"num_experts": n, **settings}}).method
 
-    params = rt.RouterParams(w=w, b=b, k=2)
-    d1 = route_one(params)
-    d2 = route_one(params)
+    def route_one(w, b, cfg):
+        return rt.route_batch(mu[None], w, b, cfg)[1]
+
+    top2 = router_cfg(4, k=2)
+    d1 = route_one(w, b, top2)
+    d2 = route_one(w, b, top2)
     deterministic = (d1.weights == d2.weights).all() and (d1.mask == d2.mask).all()
 
-    shifted = rt.RouterParams(w=w, b=b + 5.0, k=2)
-    shift_ok = (route_one(shifted).mask == d1.mask).all()
+    shift_ok = (route_one(w, b + 5.0, top2).mask == d1.mask).all()
 
     single = []
     for sel in (True, False):
         for prob in (True, False):
-            p1 = rt.RouterParams(w=w[:1], b=b[:1], k=1, selective=sel, probationary=prob)
-            single.append(route_one(p1).weights[0])
+            one = router_cfg(1, k=1, selective=sel, probationary=prob)
+            single.append(route_one(w[:1], b[:1], one).weights[0])
     degenerate = all(np.allclose(s, [1.0], atol=0, rtol=0) for s in single)
 
-    kn = rt.RouterParams(w=w, b=b, k=4, selective=True, probationary=True)
-    ns = rt.RouterParams(w=w, b=b, k=1, selective=False, probationary=True)
-    full_equiv = np.abs(route_one(kn).weights - route_one(ns).weights).max() <= 1e-15
+    kn = router_cfg(4, k=4, selective=True, probationary=True)
+    ns = router_cfg(4, k=1, selective=False, probationary=True)
+    full_equiv = np.abs(route_one(w, b, kn).weights - route_one(w, b, ns).weights).max() <= 1e-15
 
     # 10^4 noise draws through the training path, in one batch
     n = 2
     draws = 10_000 // n
     w0 = ad.leaf(np.zeros((n, 16)), "w")
     b0 = ad.leaf(np.ones(n), "b")
-    noise_params = rt.RouterParams(w=np.zeros((n, 16)), b=np.ones(n), sigma=0.01, k=1)
     noisy_node, routing = rt.route_batch(
-        np.ones((draws, 16)), w0, b0, noise_params,
+        np.ones((draws, 16)), w0, b0, router_cfg(n, sigma=0.01, k=1),
         rng=RngStream(0).child("noise"), training=True,
     )
     eps = routing.noisy_logits - 1.0  # logits are exactly 1
@@ -245,7 +247,7 @@ def test_frozen_base_and_optimizer_contracts(capsys, desk):
     def run(accum):
         p = mt.build(
             mt.MethodConfig(kind="PT_MOE", prompt_length=8, num_experts=2, rank=4,
-                            sigma=0.0, init_text="a b\n"),
+                            sigma=0.0, init_text="a b\n", router_w_std=1.0),
             small, RngStream(17).child("method"),
         )
         c = tr.TrainConfig(steps=5, warmup_steps=1, lr=1e-3, grad_accum=accum, seed=2)

@@ -218,6 +218,26 @@ def test_pretrain_base_prints_cache_path(tiny_config, tmp_path, capsys):
     assert path.endswith(".npz") and cache in path
 
 
+def test_unreadable_base_cache_is_exit_2(tiny_config, tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    assert run_cli("pretrain-base", "--config", tiny_config, "--cache-dir", cache, "--quiet") == 0
+    path = capsys.readouterr().out.strip()
+    with open(path, "rb") as f:
+        blob = f.read()
+    with open(path, "wb") as f:
+        f.write(blob[: len(blob) // 2])  # a truncated copy, as an interrupted write leaves
+    assert run_cli("pretrain-base", "--config", tiny_config, "--cache-dir", cache, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert path in err and "pretrain-base --force" in err
+    assert run_cli("train", "--config", tiny_config, "--cache-dir", cache, "--seed", "1",
+                   "--quiet") == 2
+    capsys.readouterr()
+    assert run_cli("pretrain-base", "--config", tiny_config, "--cache-dir", cache,
+                   "--force", "--quiet") == 0
+    assert run_cli("pretrain-base", "--config", tiny_config, "--cache-dir", cache, "--quiet") == 0
+    capsys.readouterr()
+
+
 def test_sweep_rejects_bad_axis(tiny_config, capsys):
     with pytest.raises(SystemExit):
         run_cli("sweep", "--config", tiny_config, "--seed", "1", "--axis", "nonsense")

@@ -1,6 +1,7 @@
 """Config parsing: strict keys, section validation, JSON roundtrip."""
 
 import ast
+import dataclasses
 import json
 import pathlib
 
@@ -89,6 +90,24 @@ def test_partial_override_keeps_other_defaults():
     assert rc.train.steps == 7
     assert rc.train.grad_accum == 2
     assert rc.method.kind == "PT_MOE"
+    # a partial config layers over exactly the shipped defaults
+    shipped = cf.default_run_config()
+    assert cf.from_dict({}) == shipped
+    assert rc == dataclasses.replace(shipped, train=dataclasses.replace(shipped.train, steps=7))
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("train", "batch_size", 0),
+        ("train", "warmup_steps", -1),
+        ("train", "lr", 0.0),
+        ("eval", "max_new", -1),
+    ],
+)
+def test_out_of_range_settings_fail_at_load(section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        cf.from_dict({section: {key: value}})
 
 
 ENV_READS = {"environ", "environb", "getenv", "getenvb"}

@@ -25,7 +25,8 @@ def lm():
 @pytest.fixture(scope="module")
 def provider(lm):
     cfg = mt.MethodConfig(
-        kind="PT_MOE", prompt_length=8, num_experts=2, rank=4, init_text="a b\n"
+        kind="PT_MOE", prompt_length=8, num_experts=2, rank=4, init_text="a b\n",
+        router_w_std=1.0,
     )
     return mt.build(cfg, lm, RngStream(4).child("method"))
 
@@ -74,8 +75,8 @@ def test_primary_expert_is_top_weighted_under_non_selective_routing(lm, probatio
         selective=False, probationary=probationary,
     )
     provider = mt.build(cfg, lm, RngStream(4).child("method"))
-    provider.router.w[...] = 0.0
-    provider.router.b[...] = [0.0, 3.0]
+    provider.router_w[...] = 0.0
+    provider.router_b[...] = [0.0, 3.0]
     rep = ev.eval_dataset(provider, lm, dt.gen_synthetic("copy_span", 6, 21), batch_size=4)
     assert rep["count"] == 6
     assert rep["expert_task_counts"] == {"copy_span": [0, 6]}

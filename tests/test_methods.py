@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from promptmoe import autodiff as ad
+from promptmoe import config as cf
 from promptmoe import data as dt
 from promptmoe import methods as mt
+from promptmoe import sweep as sw
 from promptmoe import trainer as tr
 from promptmoe.errors import ConfigError
 from promptmoe.linalg import RngStream, truncated_svd
@@ -32,6 +34,7 @@ def tiny_batch(texts):
 
 def make_provider(lm, kind, seed=0, **kw):
     kw.setdefault("init_text", "a b c 1 2 3\n")
+    kw.setdefault("router_w_std", 1.0)
     cfg = mt.MethodConfig(kind=kind, **kw)
     return mt.build(cfg, lm, RngStream(seed).child("method"))
 
@@ -215,9 +218,22 @@ def test_init_text_must_tokenize(lm):
         make_provider(lm, "PT", init_text="")
 
 
-def test_auto_rank_needs_budget():
+def test_auto_rank_zero_budget_is_scaled_reference_at_each_width():
+    # budget 0 is the kind's reference budget at the base width, also across a
+    # base_model_size sweep, so comparisons stay budget-matched
+    rc = cf.default_run_config()
+    assert (rc.method.rank, rc.method.budget) == ("auto", 0)
+    for kind, at_ref in (("DPT", 39), ("PT_MOE", 36)):
+        zero = mt.MethodConfig(kind=kind, rank="auto", budget=0)
+        assert zero.resolve_rank(H_REF) == at_ref
+        for h in (16, 32, 64, 96, 2048):
+            scaled = mt.MethodConfig(kind=kind, rank="auto", budget=mt.scaled_budget(kind, h))
+            assert zero.resolve_rank(h) == scaled.resolve_rank(h), (kind, h)
+            leg = sw.apply_axis(dataclasses.replace(rc, method=zero), "base_model_size", h)
+            assert leg.method.resolve_rank(leg.base.hidden) == scaled.resolve_rank(h), (kind, h)
+    assert rc.method.resolve_rank(64) == 16  # the shipped desk rank
     with pytest.raises(ConfigError, match="budget"):
-        mt.MethodConfig(kind="PT_MOE", rank="auto")
+        mt.MethodConfig(budget=-1)
 
 
 def test_checkpoint_roundtrip_all_kinds(lm, tmp_path):
@@ -270,6 +286,7 @@ def test_full_model_gradcheck_all_modes(selective, probationary):
     mcfg = mt.MethodConfig(
         kind="PT_MOE", prompt_length=8, num_experts=2, rank=4,
         selective=selective, probationary=probationary, init_text="a 1 b 2\n",
+        router_w_std=1.0,
     )
     provider = mt.build(mcfg, lm, RngStream(22).child("method"))
     # break the shared-SVD init symmetry: with identical expert factors the
@@ -277,7 +294,7 @@ def test_full_model_gradcheck_all_modes(selective, probationary):
     # so the router columns would be checked at an exactly-zero point
     jit = np.random.default_rng(5)
     provider.stack += jit.normal(0.0, 0.05, provider.stack.shape)
-    provider.router.w += jit.normal(0.0, 0.05, provider.router.w.shape)
+    provider.router_w += jit.normal(0.0, 0.05, provider.router_w.shape)
     # hand-built batch: the toy vocab has no specials, so no EOS plumbing
     from promptmoe.model import Batch
 

@@ -500,7 +500,9 @@ def assert_rel_close(got, want, what, scale=None):
 @pytest.mark.parametrize("frozen", [True, False])
 def test_pruned_loss_matches_full_row_oracle(kind, rotary, frozen):
     lm = make_lm(hidden=16, heads=2, seed=8, rotary=rotary, frozen=frozen)
-    cfg = mt.MethodConfig(kind=kind, prompt_length=4, num_experts=2, rank=3, init_text="a b 1\n")
+    cfg = mt.MethodConfig(
+        kind=kind, prompt_length=4, num_experts=2, rank=3, init_text="a b 1\n", router_w_std=1.0
+    )
     provider = mt.build(cfg, lm, RngStream(9).child("method"))
     ids = RAGGED_IDS
     attn = (ids != m.PAD_ID).astype(float)

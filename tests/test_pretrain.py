@@ -98,7 +98,8 @@ def test_gen_corpus_appends_eos_only_when_flagged():
 
 
 def test_doc_batch_padding():
-    batch = pt._doc_batch([[1, 2, 3], [4, 5]], [0, 1])
+    # rows whose docs run out before pack_len are right-padded to the longest
+    batch = pt._doc_batch([[1, 2, 3], [4, 5]], [[0], [1]], pack_len=8)
     assert batch.token_ids.shape == (2, 3)
     assert batch.token_ids[1, 2] == PAD_ID
     assert batch.attn_mask[1].tolist() == [1.0, 1.0, 0.0]

@@ -126,19 +126,27 @@ def test_bank_param_count_matches_array_sizes():
     assert a[:1].size + b.size == mt.expected_param_count("DPT", t, 1, r, h)
 
 
+def auto_rank(kind, budget, n, t, h):
+    """The rank ``MethodConfig.resolve_rank`` picks for ``rank: auto`` at width h."""
+    cfg = mt.MethodConfig(kind=kind, prompt_length=t, num_experts=n, rank="auto", budget=budget)
+    return cfg.resolve_rank(h)
+
+
 def test_auto_rank_inverts_reference_budget():
-    assert pb.auto_rank(80_706, n=2, t=40, h=2048) == 36
+    assert auto_rank("PT_MOE", 80_706, n=2, t=40, h=2048) == 36
+    assert auto_rank("DPT", 81_432, n=1, t=40, h=2048) == 39
 
 
 def test_auto_rank_exact_rank_one_boundary():
-    n, t, h = 2, 4, 8
-    budget = n * h + n + (n * t + h)
-    assert pb.auto_rank(budget, n, t, h) == 1
-    with pytest.raises(ConfigError):
-        pb.auto_rank(budget - 1, n, t, h)
+    t, h = 4, 8
+    for kind, n, router in (("PT_MOE", 2, 2 * 8 + 2), ("DPT", 1, 0)):
+        budget = router + (n * t + h)
+        assert auto_rank(kind, budget, n, t, h) == 1
+        with pytest.raises(ConfigError, match="rank 1"):
+            auto_rank(kind, budget - 1, n, t, h)
 
 
 def test_auto_rank_rejects_router_only_budget():
     with pytest.raises(ConfigError):
-        pb.auto_rank(2 * 8 + 2, n=2, t=4, h=8)
+        auto_rank("PT_MOE", 2 * 8 + 2, n=2, t=4, h=8)
 

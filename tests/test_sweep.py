@@ -93,14 +93,6 @@ def test_apply_axis_base_size_checks_heads():
     assert out.base.hidden == 32
 
 
-def test_apply_axis_base_size_rescales_auto_budget():
-    rc = tiny_rc(rank="auto", budget=761)  # PT_MOE at h=16
-    out = sw.apply_axis(rc, "base_model_size", 32)
-    from promptmoe import methods as mt
-
-    assert out.method.budget == mt.scaled_budget("PT_MOE", 32)
-
-
 # ---- execution -----------------------------------------------------------------
 
 def test_run_sweep_flushes_each_leg(tmp_path):

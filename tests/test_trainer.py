@@ -31,6 +31,7 @@ def make_provider(lm, seed=17, **kw):
     kw.setdefault("num_experts", 2)
     kw.setdefault("rank", 4)
     kw.setdefault("init_text", "a b\n")
+    kw.setdefault("router_w_std", 1.0)
     cfg = mt.MethodConfig(**kw)
     return mt.build(cfg, lm, RngStream(seed).child("method"))
 
@@ -120,6 +121,21 @@ def test_train_config_rejects_bad_values():
         tr.TrainConfig(steps=0)
     with pytest.raises(ConfigError):
         tr.TrainConfig(steps=1, grad_accum=0)
+
+
+def test_write_npz_leaves_the_old_file_on_a_failed_write(tmp_path, monkeypatch):
+    path = tmp_path / "state.npz"
+    tr.write_npz(path, {"x": np.arange(3)})
+
+    def fail_midway(f, **arrays):
+        f.write(b"PK partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tr.np, "savez", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        tr.write_npz(path, {"x": np.arange(5)})
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+    assert np.array_equal(tr.read_npz(path, "state")["x"], np.arange(3))
 
 
 def test_no_trainable_params_is_config_error(lm):
