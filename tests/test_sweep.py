@@ -93,6 +93,20 @@ def test_apply_axis_base_size_checks_heads():
     assert out.base.hidden == 32
 
 
+def test_apply_axis_base_size_rescales_auto_budget():
+    # budget 0 resolves at each width, so a base_model_size leg stays
+    # budget-matched to the kind's scaled reference budget
+    from promptmoe import methods as mt
+
+    for kind in ("DPT", "PT_MOE"):
+        rc = tiny_rc(kind=kind, rank="auto", budget=0)
+        for h in (16, 32, 64, 96):
+            out = sw.apply_axis(rc, "base_model_size", h)
+            assert out.base.hidden == h
+            want = dataclasses.replace(out.method, budget=mt.scaled_budget(kind, h))
+            assert out.method.resolve_rank(h) == want.resolve_rank(h), (kind, h)
+
+
 # ---- execution -----------------------------------------------------------------
 
 def test_run_sweep_flushes_each_leg(tmp_path):
