@@ -1,14 +1,21 @@
 """Reverse-mode differentiation over the tensor ops the model needs.
 
-The graph is rebuilt on every forward pass: each op returns a fresh Node
-holding its value, its parent nodes, and a closure that maps the output
-adjoint to per-parent adjoints. ``backward`` walks the graph once in
-reverse topological order and returns gradients for every named leaf.
+The graph is rebuilt on every forward pass. Each op returns a fresh Node
+holding its value and a graph ``Record``: the parents' records, a backward
+rule that maps the output adjoint to per-parent adjoints, the name, the
+adjoint and the shape. The graph holds records, never values, so an
+intermediate array is freed as soon as the forward drops its Node, unless
+a backward rule saved it. Each rule saves exactly the arrays it reads,
+chosen when the op runs (the saved-values tape of Griewank & Walther,
+*Evaluating Derivatives*, 2008, ch. 4): ``matmul`` keeps ``b`` only if
+``a`` is active and ``a`` only if ``b`` is, ``add`` keeps only shapes.
+``backward`` walks the records once in reverse topological order and
+returns gradients for every named leaf.
 
-Only *active* nodes take part (activity analysis, Griewank & Walther,
-*Evaluating Derivatives*, 2008): a node is active if it is a named leaf or
-has an active parent. An op with no active parent records no parents and
-no backward rule, so a forward over constants only builds no graph, and a
+Only *active* nodes take part (activity analysis, Griewank & Walther): a
+node is active if it is a named leaf or has an active parent. An op with
+no active parent records no graph: every constant shares the one inactive
+record ``CONST``, so a forward over constants only builds no graph, and a
 backward rule computes adjoints for its active parents only (``None`` for
 the others).
 
@@ -28,22 +35,68 @@ from . import kernels
 from .errors import GraphError, NumericalError, ShapeError
 
 
-class Node:
-    __slots__ = ("value", "parents", "vjp", "name", "grad")
+class Record:
+    """What the graph keeps of one node: everything backward reads but its value."""
 
-    def __init__(self, value, parents=(), vjp=None, name=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        if not any(p.active for p in parents):
-            parents, vjp = (), None  # a function of constants is a constant
+    __slots__ = ("parents", "vjp", "name", "grad", "shape")
+
+    def __init__(self, parents, vjp, name, shape):
         self.parents = parents
         self.vjp = vjp
         self.name = name
         self.grad = None
+        self.shape = shape
 
     @property
     def active(self):
-        """True if some named leaf's gradient can flow through this node."""
+        """True if some named leaf's gradient can flow through this record."""
         return self.name is not None or bool(self.parents)
+
+    def __repr__(self):
+        tag = self.name or ("op" if self.parents else "const")
+        return f"Record({tag}, shape={self.shape})"
+
+
+CONST = Record((), None, None, None)  # the record of every constant; backward never writes it
+
+
+class Node:
+    """A value the forward holds, and its record in the graph."""
+
+    __slots__ = ("value", "record")
+
+    def __init__(self, value, parents=(), vjp=None, name=None):
+        self.value = np.asarray(value, dtype=np.float64)
+        if name is None and all(p.record is CONST for p in parents):
+            self.record = CONST  # a function of constants is a constant
+        else:
+            self.record = Record(tuple(p.record for p in parents), vjp, name, self.value.shape)
+
+    @property
+    def active(self):
+        return self.record is not CONST
+
+    @property
+    def parents(self):
+        return self.record.parents
+
+    @property
+    def name(self):
+        return self.record.name
+
+    @property
+    def grad(self):
+        return self.record.grad
+
+    @property
+    def vjp(self):
+        return self.record.vjp
+
+    @vjp.setter
+    def vjp(self, fn):
+        # a constant has no backward rule, and CONST is shared by all of them
+        if self.record is not CONST:
+            self.record.vjp = fn
 
     @property
     def shape(self):
@@ -78,17 +131,21 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _shape_if_active(node):
+    return node.value.shape if node.active else None
+
+
 def add(a, b):
     a, b = as_node(a), as_node(b)
-    out = a.value + b.value
+    sa, sb = _shape_if_active(a), _shape_if_active(b)
 
     def vjp(g):
         return (
-            _unbroadcast(g, a.value.shape) if a.active else None,
-            _unbroadcast(g, b.value.shape) if b.active else None,
+            None if sa is None else _unbroadcast(g, sa),
+            None if sb is None else _unbroadcast(g, sb),
         )
 
-    return Node(out, (a, b), vjp)
+    return Node(a.value + b.value, (a, b), vjp)
 
 
 def rotate_half(a):
@@ -115,13 +172,28 @@ def _rotate_half(x, inverse=False):
     return out
 
 
+def _bilinear_saves(a, b):
+    """(a's value, b's value, a's shape, b's shape) as a bilinear op's rule reads them.
+
+    The adjoint of one operand reads the other's value, so a value is kept
+    only if the other operand is active, and a shape only if its own is.
+    """
+    return (
+        a.value if b.active else None,
+        b.value if a.active else None,
+        _shape_if_active(a),
+        _shape_if_active(b),
+    )
+
+
 def mul(a, b):
     a, b = as_node(a), as_node(b)
+    av, bv, sa, sb = _bilinear_saves(a, b)
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.value, a.value.shape) if a.active else None,
-            _unbroadcast(g * a.value, b.value.shape) if b.active else None,
+            None if sa is None else _unbroadcast(g * bv, sa),
+            None if sb is None else _unbroadcast(g * av, sb),
         )
 
     return Node(a.value * b.value, (a, b), vjp)
@@ -140,10 +212,11 @@ def matmul(a, b):
         out = (a.value[:, 0] @ b.value)[:, None]
     else:
         out = a.value @ b.value
+    av, bv, sa, sb = _bilinear_saves(a, b)
 
     def vjp(g):
-        da = _unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape) if a.active else None
-        db = _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape) if b.active else None
+        da = None if sa is None else _unbroadcast(g @ bv.swapaxes(-1, -2), sa)
+        db = None if sb is None else _unbroadcast(av.swapaxes(-1, -2) @ g, sb)
         return da, db
 
     return Node(out, (a, b), vjp)
@@ -163,12 +236,12 @@ def reshape(a, shape):
 
 def concat(nodes, axis):
     nodes = [as_node(n) for n in nodes]
-    sizes = [n.value.shape[axis] for n in nodes]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
+    active = [n.active for n in nodes]
 
     def vjp(g):
         parts = np.split(g, splits, axis=axis)
-        return tuple(part if n.active else None for n, part in zip(nodes, parts))
+        return tuple(part if on else None for on, part in zip(active, parts))
 
     return Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), vjp)
 
@@ -177,14 +250,14 @@ def embedding(table, ids):
     """Row lookup ``table[ids]``; backward scatter-adds into the table."""
     table = as_node(table)
     ids = np.asarray(ids)
-    out = table.value[ids]
+    shape = table.value.shape
 
     def vjp(g):
-        dt = np.zeros_like(table.value)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.value.shape[-1]))
+        dt = np.zeros(shape)
+        np.add.at(dt, ids.reshape(-1), g.reshape(-1, shape[-1]))
         return (dt,)
 
-    return Node(out, (table,), vjp)
+    return Node(table.value[ids], (table,), vjp)
 
 
 def take_rows(x, idx):
@@ -262,22 +335,25 @@ def layernorm(x, gain, bias, eps=1e-5):
     xhat *= inv
     np.multiply(xhat, gain.value, out=out)
     out += bias.value
+    x_on = x.active
+    gv = gain.value if x_on else None
+    sg, sb = _shape_if_active(gain), _shape_if_active(bias)
 
     def vjp(g):
         dx = dgain = dbias = None
-        if x.active:
+        if x_on:
             # inv * (gdot - mean(gdot) - xhat * mean(gdot * xhat)), gdot = g * gain
-            dx = g * gain.value
+            dx = g * gv
             tmp = dx * xhat
             m2 = tmp.mean(axis=-1, keepdims=True)
             dx -= dx.mean(axis=-1, keepdims=True)
             np.multiply(xhat, m2, out=tmp)
             dx -= tmp
             dx *= inv
-        if gain.active:
-            dgain = _unbroadcast(g * xhat, gain.value.shape)
-        if bias.active:
-            dbias = _unbroadcast(g, bias.value.shape)
+        if sg is not None:
+            dgain = _unbroadcast(g * xhat, sg)
+        if sb is not None:
+            dbias = _unbroadcast(g, sb)
         return dx, dgain, dbias
 
     return Node(out, (x, gain, bias), vjp)
@@ -376,10 +452,11 @@ def expert_mix(weights, stack):
             f"expert_mix expert counts differ: {weights.value.shape} vs {stack.value.shape}"
         )
     out = np.einsum("bn,ntr->btr", weights.value, stack.value)
+    wv, sv, sw, ss = _bilinear_saves(weights, stack)
 
     def vjp(g):
-        dw = np.einsum("btr,ntr->bn", g, stack.value) if weights.active else None
-        ds = np.einsum("bn,btr->ntr", weights.value, g) if stack.active else None
+        dw = None if sw is None else np.einsum("btr,ntr->bn", g, sv)
+        ds = None if ss is None else np.einsum("bn,btr->ntr", wv, g)
         return dw, ds
 
     return Node(out, (weights, stack), vjp)
@@ -390,15 +467,15 @@ def _toposort(root):
     seen = set()
     stack = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        rec, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(rec)
             continue
-        if id(node) in seen:
+        if id(rec) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
+        seen.add(id(rec))
+        stack.append((rec, True))
+        for p in rec.parents:
             if p.active and id(p) not in seen:
                 stack.append((p, False))
     return order
@@ -407,47 +484,54 @@ def _toposort(root):
 def backward(loss):
     """Accumulate adjoints from a scalar loss; returns {leaf name: gradient}.
 
-    Every active node reachable from the loss gets its adjoint in ``.grad``;
-    constants are never visited and keep ``.grad`` None. Unreachable
-    parameters simply do not appear in the result (treat as zero). A
-    gradient may share memory with another node's, so treat it as read-only.
+    Walks the records of the active nodes reachable from the loss. Each
+    record's adjoint is handed to its backward rule, whose results go to
+    the parents; an unnamed record's adjoint is then dropped, so after
+    ``backward`` only named leaves hold a ``.grad``. Constants are never
+    visited, and a constant loss writes nothing anywhere and returns {}.
+    Unreachable parameters simply do not appear in the result (treat as
+    zero). A gradient may share memory with an adjoint a rule received, so
+    treat it as read-only.
 
-    A node's first adjoint is kept as its backward rule returned it, which
-    may be a view of a child's adjoint (transpose, reshape, concat, add).
-    The second is added into a new array, and later ones are added in place
-    into that array, which only this node holds.
+    A record's first adjoint is kept as its backward rule returned it,
+    which may be a view of a child's adjoint (transpose, reshape, concat,
+    add). The second is added into a new array, and later ones are added
+    in place into that array, which only this record holds.
     """
     if not isinstance(loss, Node):
         raise GraphError("backward needs a Node produced by a recorded forward pass")
     if loss.value.ndim != 0 and loss.value.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.value.shape}")
-    order = _toposort(loss)
-    for node in order:
-        node.grad = None
-    loss.grad = np.ones_like(loss.value)
-    owned = set()  # ids of nodes whose .grad backward allocated itself
+    root = loss.record
+    if not root.active:
+        return {}
+    order = _toposort(root)
+    for rec in order:
+        rec.grad = None
+    root.grad = np.ones_like(loss.value)
+    owned = set()  # ids of records whose .grad backward allocated itself
     grads = {}
-    for node in reversed(order):
-        if node.grad is None:
+    for rec in reversed(order):
+        g = rec.grad
+        if g is None:
             continue
-        if node.parents:
-            if node.vjp is None:
+        if rec.parents:
+            if rec.vjp is None:
                 raise GraphError("node with parents but no backward rule: graph is detached")
-            parts = node.vjp(node.grad)
-            if len(parts) != len(node.parents):
+            parts = rec.vjp(g)
+            if len(parts) != len(rec.parents):
                 raise GraphError(
                     f"backward rule returned {len(parts)} adjoints for "
-                    f"{len(node.parents)} parents"
+                    f"{len(rec.parents)} parents"
                 )
-            for parent, part in zip(node.parents, parts):
+            for parent, part in zip(rec.parents, parts):
                 if not parent.active:
                     continue
                 if part is None:
                     raise GraphError("backward rule gave no adjoint for an active parent")
-                if part.shape != parent.value.shape:
+                if part.shape != parent.shape:
                     raise GraphError(
-                        f"adjoint shape {part.shape} does not match value shape "
-                        f"{parent.value.shape}"
+                        f"adjoint shape {part.shape} does not match value shape {parent.shape}"
                     )
                 if parent.grad is None:
                     parent.grad = part
@@ -456,10 +540,12 @@ def backward(loss):
                 else:
                     parent.grad = parent.grad + part
                     owned.add(id(parent))
-        if node.name is not None:
-            if node.name in grads:
-                raise GraphError(f"two distinct leaves share the name {node.name!r}")
-            grads[node.name] = node.grad
+        if rec.name is None:
+            rec.grad = None  # passed on to the parents
+        elif rec.name in grads:
+            raise GraphError(f"two distinct leaves share the name {rec.name!r}")
+        else:
+            grads[rec.name] = g
     return grads
 
 

@@ -74,10 +74,13 @@ def eval_dataset(
     Generation runs every example of a batch to the batch's largest budget,
     so an example that emits no EOS can predict differently depending on
     its batch; a fixed ``max_new`` makes predictions independent of
-    batching. ``expert_task_counts`` tallies ``Routing.primary`` per task.
+    batching. ``expert_counts`` counts the examples that kept each expert,
+    ``expert_load`` sums each expert's routing weight over the examples, and
+    ``expert_task_counts`` tallies ``Routing.primary`` per task.
     """
     routed = provider.router_w is not None
     expert_counts = np.zeros(provider.stack.shape[0], dtype=np.int64) if routed else None
+    expert_load = np.zeros(provider.stack.shape[0]) if routed else None
     expert_task = {} if routed else None
 
     k = provider.prompt_length
@@ -102,6 +105,7 @@ def eval_dataset(
             preds = lm.generate(prompt_node.value, batch.token_ids, batch.attn_mask, budget)
             if routing is not None:
                 expert_counts += routing.mask.sum(axis=0).astype(np.int64)
+                expert_load += routing.weights.sum(axis=0)
                 routing.tally_primary(batch.tasks, expert_task)
                 if log_handle is not None:
                     for ex, mask, weights, soft in zip(
@@ -152,6 +156,7 @@ def eval_dataset(
         "skipped": skipped,
         "per_task": per_task,
         "expert_counts": None if expert_counts is None else expert_counts.tolist(),
+        "expert_load": None if expert_load is None else expert_load.tolist(),
         "expert_task_counts": None
         if expert_task is None
         else {t: v.tolist() for t, v in expert_task.items()},

@@ -61,6 +61,13 @@ class MethodConfig:
             )
         if self.budget < 0:
             raise ConfigError(f"budget must be >= 0, got {self.budget}")
+        if self.kind in ("DPT", "PT_MOE") and self.rank != "auto":
+            if isinstance(self.rank, bool) or not isinstance(self.rank, int):
+                raise ConfigError(f"rank must be \"auto\" or an integer, got {self.rank!r}")
+            if not 1 <= self.rank <= self.prompt_length:
+                raise ConfigError(
+                    f"rank {self.rank} out of range 1..{self.prompt_length} (the prompt length)"
+                )
         if self.kind in ROUTED_KINDS:
             if self.sigma < 0:
                 raise ConfigError(f"router noise sigma must be >= 0, got {self.sigma}")
@@ -72,7 +79,9 @@ class MethodConfig:
         if self.kind in ("PT", "SMOP"):
             return None
         if self.rank != "auto":
-            return int(self.rank)
+            if self.rank > h:
+                raise ConfigError(f"rank {self.rank} exceeds the base width {h}")
+            return self.rank
         return pb.auto_rank(
             self.budget or scaled_budget(self.kind, h), self.num_experts, self.prompt_length, h,
             routed=self.kind in ROUTED_KINDS,

@@ -135,6 +135,7 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
             loss_total = 0.0
             token_total = 0
             step_counts = np.zeros(n_experts)
+            step_load = np.zeros(n_experts)
             for micro in range(cfg.grad_accum):
                 batch = batch_fn(step, micro)
                 noise_rng = root.child("noise", step, micro)
@@ -155,6 +156,7 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
                         accum[name] = g.copy()
                 if routing is not None:
                     step_counts += routing.mask.sum(axis=0)
+                    step_load += routing.weights.sum(axis=0)
             for name in accum:
                 accum[name] /= cfg.grad_accum
             grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in accum.values())))
@@ -167,6 +169,7 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
                 "loss": loss_total / max(token_total, 1),
                 "grad_norm": grad_norm,
                 "expert_counts": [int(c) for c in step_counts],
+                "expert_load": step_load.tolist(),
                 "skipped": state.skipped,
             }
             metrics.append(record)

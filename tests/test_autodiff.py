@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,31 +225,73 @@ def test_ops_on_constants_record_no_graph():
     a, b = ad.const(np.ones((2, 3))), ad.const(np.ones((3, 2)))
     out = ad.gelu(ad.add(ad.matmul(a, b), 1.0))
     assert not out.active and out.parents == () and out.vjp is None
+    assert out.record is a.record is ad.CONST  # every constant shares one record
     rows = ad.take_rows(out, np.array([[1], [0]]))
     assert not rows.active and rows.parents == () and rows.vjp is None
     x = ad.leaf(np.ones((2, 3)), "x")
     mixed = ad.matmul(x, b)
-    assert mixed.active and mixed.parents == (x, b)
-    ad.backward(ad.sum_all(mixed))
-    assert b.grad is None  # the constant operand gets no adjoint
+    assert mixed.active and mixed.parents == (x.record, ad.CONST)
+    grads = ad.backward(ad.sum_all(mixed))
+    assert np.array_equal(grads["x"], np.full((2, 3), 2.0)) and x.grad is grads["x"]
+    assert b.grad is None and ad.CONST.grad is None  # the constant operand gets no adjoint
+
+
+def graph_records(loss):
+    """``loss`` and every record reachable from it through ``.parents``, constants included."""
+    seen, todo, out = set(), [loss], []
+    while todo:
+        rec = todo.pop()
+        if id(rec) not in seen:
+            seen.add(id(rec))
+            out.append(rec)
+            todo.extend(rec.parents)
+    return out
+
+
+def snapshot_adjoints(loss):
+    """Wrap every backward rule under ``loss`` to keep the adjoint it receives.
+
+    Returns {record: (adjoint, copy taken on receipt)}; after ``backward``
+    each adjoint must still equal its copy, i.e. nothing wrote into it.
+    """
+    received = {}
+    for rec in graph_records(loss):
+        if rec.vjp is not None:
+            def snap(g, rec=rec, rule=rec.vjp):
+                received[rec] = (g, g.copy())
+                return rule(g)
+
+            rec.vjp = snap
+    return received
+
+
+def assert_adjoints_unwritten(received, loss):
+    assert len(received) == sum(bool(rec.parents) for rec in graph_records(loss))  # every rule ran
+    for g, seen in received.values():
+        assert np.array_equal(g, seen)
 
 
 def test_fanout_into_view_adjoint_accumulates_out_of_place():
     # reverse topological order reaches x through reshape first, so x's first
-    # adjoint is a view of r.grad; the mul contributions must not write into it
+    # adjoint is a view of the adjoint reshape received; the mul contributions
+    # must not write into it
     x0 = np.arange(6.0).reshape(2, 3)
     w = np.arange(6.0).reshape(3, 2) + 1.0
     x = ad.leaf(x0, "x")
     r = ad.reshape(x, (3, 2))
     loss = ad.add(ad.sum_all(ad.mul(r, ad.const(w))), ad.sum_all(ad.mul(x, x)))
+    received = snapshot_adjoints(loss)
     grads = ad.backward(loss)
     assert np.array_equal(grads["x"], w.reshape(2, 3) + 2.0 * x0)
-    assert np.array_equal(r.grad, w)
+    assert np.array_equal(received[r.record][0], w)
+    assert_adjoints_unwritten(received, loss)
+    assert r.grad is None and x.grad is grads["x"]
 
 
 def test_three_way_fanout_into_view_accumulates_in_place_only_into_its_own_sum():
-    # x's first adjoint is a view of r.grad; the second allocates a sum and the
-    # third is added into that sum, so no child's adjoint is ever written
+    # x's first adjoint is a view of the adjoint reshape received; the second
+    # allocates a sum and the third is added into that sum, so no adjoint
+    # handed to a rule is ever written
     x0 = np.arange(6.0).reshape(2, 3)
     w = np.arange(6.0).reshape(3, 2) + 1.0
     x = ad.leaf(x0, "x")
@@ -256,11 +301,130 @@ def test_three_way_fanout_into_view_accumulates_in_place_only_into_its_own_sum()
     loss = ad.add(
         ad.add(ad.sum_all(ad.mul(r, ad.const(w))), ad.sum_all(sq)), ad.sum_all(lin)
     )
+    received = snapshot_adjoints(loss)
     grads = ad.backward(loss)
     assert np.array_equal(grads["x"], w.reshape(2, 3) + 2.0 * x0 + 3.0)
-    assert np.array_equal(r.grad, w)
-    assert np.array_equal(sq.grad, np.ones((2, 3)))
-    assert np.array_equal(lin.grad, np.ones((2, 3)))
+    assert np.array_equal(received[r.record][0], w)
+    assert np.array_equal(received[sq.record][0], np.ones((2, 3)))
+    assert np.array_equal(received[lin.record][0], np.ones((2, 3)))
+    assert_adjoints_unwritten(received, loss)
+    assert not any(np.shares_memory(grads["x"], g) for g, _ in received.values())
+
+
+def test_model_shaped_graph_writes_into_no_received_adjoint():
+    # fan-out through views (transpose, reshape, concat, add) in one graph
+    rng = np.random.default_rng(40)
+    x = ad.leaf(rng.normal(size=(2, 3, 4)), "x")
+    w = ad.leaf(rng.normal(size=(4, 4)), "w")
+    h = ad.matmul(x, w)
+    t = ad.transpose(h, (0, 2, 1))
+    both = ad.concat([ad.reshape(t, (2, 3, 4)), h], axis=1)
+    y = ad.add(ad.layernorm(both, np.ones(4), np.zeros(4)), ad.gelu(both))
+    loss = ad.add(proj(y), proj(ad.add(x, h), seed=1))
+    received = snapshot_adjoints(loss)
+    grads = ad.backward(loss)
+    assert set(grads) == {"x", "w"}
+    assert_adjoints_unwritten(received, loss)
+    assert len(received) >= 12
+
+
+# ---- what the graph keeps ----------------------------------------------------
+
+
+def active_input(shape, seed):
+    """A leaf and an active intermediate whose array only its Node holds."""
+    rng = np.random.default_rng(seed)
+    p = ad.leaf(rng.normal(size=shape), "p")
+    return p, ad.mul(p, ad.const(rng.normal(size=shape)))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda x: ad.matmul(x, ad.const(np.ones((4, 5)))),  # a frozen weight
+        lambda x: ad.add(x, ad.const(np.ones(4))),  # a frozen bias
+        lambda x: ad.scale(x, 0.5),
+    ],
+    ids=["matmul", "add", "scale"],
+)
+def test_rule_that_does_not_read_an_input_frees_it(op):
+    p, x = active_input((3, 4), seed=41)
+    ref = weakref.ref(x.value)
+    y = op(x)
+    del x
+    gc.collect()
+    assert ref() is None
+    grads = ad.backward(ad.sum_all(y))  # the graph still runs without it
+    assert grads["p"].shape == (3, 4)
+
+
+def test_matmul_with_an_active_weight_keeps_its_input():
+    p, x = active_input((3, 4), seed=42)
+    ref = weakref.ref(x.value)
+    w = ad.leaf(np.ones((4, 5)), "w")
+    y = ad.matmul(x, w)
+    want_dw = np.ones((3, 5)).T @ x.value
+    del x
+    gc.collect()
+    assert ref() is not None  # dW = x^T g reads it
+    grads = ad.backward(ad.sum_all(y))
+    assert np.array_equal(grads["w"], want_dw.T)
+
+
+def test_backward_keeps_adjoints_on_named_leaves_only():
+    rng = np.random.default_rng(43)
+    x = ad.leaf(rng.normal(size=(2, 3, 4)), "x")
+    w = ad.leaf(rng.normal(size=(4, 4)), "w")
+    h = ad.gelu(ad.matmul(x, w))
+    loss = proj(ad.add(ad.layernorm(h, np.ones(4), np.zeros(4)), x))
+    grads = ad.backward(loss)
+    records = graph_records(loss)
+    assert sum(rec.name is None and rec.active for rec in records) >= 5
+    for rec in records:
+        if rec.name is None:
+            assert rec.grad is None, rec
+        else:
+            assert rec.grad is grads[rec.name]
+
+
+def test_constant_loss_writes_nothing_into_the_shared_record():
+    loss = ad.sum_all(ad.mul(ad.const(np.ones(3)), 2.0))
+    assert loss.record is ad.CONST
+    assert ad.backward(loss) == {}
+    assert ad.CONST.grad is None and ad.CONST.vjp is None and ad.CONST.parents == ()
+
+
+def test_tracer_interface_reassigned_rule_and_parent_walk():
+    # a profiler wraps each op's rule after the op returns and walks .parents
+    # from the loss; backward must call the rule that was assigned last
+    rng = np.random.default_rng(44)
+    w = ad.leaf(rng.normal(size=(4, 3)), "w")
+    b = ad.leaf(rng.normal(size=3), "b")
+    h = ad.add(ad.matmul(ad.const(rng.normal(size=(2, 4))), w), b)
+    rule, calls = h.vjp, []
+
+    def traced(g):
+        calls.append(g.shape)
+        return rule(g)
+
+    h.vjp = traced
+    assert h.vjp is traced
+    frozen = ad.gelu(ad.const(np.ones(3)))
+    frozen.vjp = traced  # a constant has no rule; the shared record is untouched
+    assert frozen.vjp is None and ad.CONST.vjp is None
+    loss = proj(ad.gelu(h))
+    grads = ad.backward(loss)
+    assert calls == [(2, 3)]
+    names, seen, todo = set(), set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.name is not None:
+                names.add(node.name)
+                assert node.grad is grads[node.name]
+            todo.extend(node.parents)
+    assert names == set(grads) == {"w", "b"}
 
 
 def test_quadratic_gradient_is_identity():

@@ -132,6 +132,8 @@ def test_primary_expert_is_top_weighted_under_non_selective_routing(
     assert rep["count"] == 6
     assert rep["expert_task_counts"] == {"copy_span": [0, 6]}
     assert rep["expert_counts"] == [6, 6]
+    assert sum(rep["expert_load"]) == pytest.approx(6.0)
+    assert rep["expert_load"][1] > 10 * rep["expert_load"][0] > 0
 
 
 def test_eval_checkpoint_under_mismatched_config_is_exit_2(tiny_config, tmp_path, capsys):
@@ -236,6 +238,27 @@ def test_unreadable_base_cache_is_exit_2(tiny_config, tmp_path, capsys):
                    "--force", "--quiet") == 0
     assert run_cli("pretrain-base", "--config", tiny_config, "--cache-dir", cache, "--quiet") == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ({"rank": 9}, "rank 9 out of range 1..8"),  # above the prompt length
+        ({"rank": "big"}, "rank must be"),
+        ({"rank": 0}, "rank 0 out of range"),
+        ({"prompt_length": 20, "rank": 17}, "exceeds the base width 16"),
+    ],
+    ids=["above-prompt-length", "not-an-int", "zero", "above-base-width"],
+)
+def test_bad_rank_is_exit_2(tiny_config, tmp_path, capsys, method, message):
+    rc = json.loads(open(tiny_config).read())
+    rc["method"].update(method)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rc))
+    assert run_cli("train", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "run"),
+                   "--cache-dir", str(tmp_path / "cache"), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
 
 
 def test_sweep_rejects_bad_axis(tiny_config, capsys):

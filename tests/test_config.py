@@ -103,6 +103,9 @@ def test_partial_override_keeps_other_defaults():
         ("train", "warmup_steps", -1),
         ("train", "lr", 0.0),
         ("eval", "max_new", -1),
+        ("method", "rank", 41),  # above the shipped prompt length of 40
+        ("method", "rank", "big"),
+        ("method", "rank", True),
     ],
 )
 def test_out_of_range_settings_fail_at_load(section, key, value):

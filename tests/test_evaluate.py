@@ -81,6 +81,8 @@ def test_primary_expert_is_top_weighted_under_non_selective_routing(lm, probatio
     assert rep["count"] == 6
     assert rep["expert_task_counts"] == {"copy_span": [0, 6]}
     assert rep["expert_counts"] == [6, 6]
+    assert sum(rep["expert_load"]) == pytest.approx(6.0)
+    assert rep["expert_load"][1] > 10 * rep["expert_load"][0] > 0
 
 
 def test_eval_is_deterministic(lm, provider):
@@ -162,7 +164,7 @@ def test_pt_provider_reports_no_expert_stats(lm):
     cfg = mt.MethodConfig(kind="PT", prompt_length=8, init_text="a b\n")
     pt = mt.build(cfg, lm, RngStream(5).child("method"))
     rep = ev.eval_dataset(pt, lm, dt.gen_synthetic("copy_span", 3, 81))
-    assert rep["expert_counts"] is None
+    assert rep["expert_counts"] is None and rep["expert_load"] is None
     assert rep["expert_task_counts"] is None
 
 

@@ -1,6 +1,8 @@
 """Provider behaviors: budgets, input (in)dependence, routing composition."""
 
 import dataclasses
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from promptmoe import autodiff as ad
 from promptmoe import config as cf
 from promptmoe import data as dt
 from promptmoe import methods as mt
+from promptmoe import pretrain as pt
+from promptmoe import runner as rn
 from promptmoe import trainer as tr
 from promptmoe.errors import ConfigError
 from promptmoe.linalg import RngStream, truncated_svd
@@ -314,3 +318,44 @@ def test_full_model_gradcheck_all_modes(selective, probationary):
     params = {name: p.copy() for name, p in provider.param_arrays().items()}
     max_rel = ad.finite_diff_check(f, params, eps=1e-5, min_coords=120, seed=9)
     assert max_rel <= 1e-5
+
+
+# ---- memory of one desk micro-batch ------------------------------------------
+
+DESK_CACHE = Path(__file__).resolve().parents[1] / ".cache"
+# tracemalloc bytes of the test below while every graph edge still held its
+# parent's value and backward kept every intermediate adjoint
+FORWARD_LIVE_BEFORE = 23.43e6
+PEAK_BEFORE = 39.19e6
+
+
+def test_desk_micro_batch_graph_keeps_only_saved_arrays():
+    rc = cf.default_run_config()
+    lm, _ = pt.ensure_base(rc.base, str(DESK_CACHE))
+    provider = mt.build(rc.method, lm, RngStream(1).child("method"))
+    train_ds, _, _ = rn.build_datasets(dataclasses.replace(rc.data, train_seed=1001))
+    batch_fn = dt.make_batch_fn(
+        train_ds, rc.train.batch_size, 1, max_seq=lm.cfg.max_seq - rc.method.prompt_length
+    )
+    batch = batch_fn(1, 0)
+
+    def step():
+        loss, count, _ = mt.loss_on_batch(
+            provider, lm, batch, rng=RngStream(1).child("noise"), training=True
+        )
+        return loss, count
+
+    loss, count = step()  # warm-up: first-call caches are not the graph's
+    ad.backward(ad.scale(loss, 1.0 / count))
+    del loss
+    tracemalloc.start()
+    try:
+        loss, count = step()
+        forward_live = tracemalloc.get_traced_memory()[0]
+        grads = ad.backward(ad.scale(loss, 1.0 / count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(grads) == set(provider.param_arrays())
+    assert forward_live < FORWARD_LIVE_BEFORE / 2, forward_live
+    assert peak < PEAK_BEFORE / 2, peak

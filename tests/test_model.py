@@ -6,6 +6,7 @@ from promptmoe import methods as mt
 from promptmoe import model as m
 from promptmoe.errors import ConfigError, DataError, ShapeError
 from promptmoe.linalg import RngStream
+from test_autodiff import assert_adjoints_unwritten, graph_records, snapshot_adjoints
 
 
 def make_lm(vocab=258, hidden=16, layers=2, heads=2, max_seq=64, seed=0, frozen=True,
@@ -513,17 +514,18 @@ def test_pruned_loss_matches_full_row_oracle(kind, rotary, frozen):
             prompt, _ = provider.prompt_node(lm, batch)
             if pruned:
                 loss, count = lm.loss_on_batch(prompt, batch)
-                logits = loss.parents[0]
+                logits_shape = loss.parents[0].shape  # the NLL's record of its logits
             else:
                 logits = lm.forward(prompt, lm.embed(ids), attn)
                 loss, count = lm._shifted_nll(logits, batch)
-            return loss, count, logits, ad.backward(loss)
+                logits_shape = logits.shape
+            return loss, count, logits_shape, ad.backward(loss)
 
-        loss, count, logits, grads = run(pruned=True)
-        want_loss, want_count, want_logits, want_grads = run(pruned=False)
-        assert logits.shape == (len(ids), rows, lm.cfg.vocab_size)
+        loss, count, logits_shape, grads = run(pruned=True)
+        want_loss, want_count, want_logits_shape, want_grads = run(pruned=False)
+        assert logits_shape == (len(ids), rows, lm.cfg.vocab_size)
         width = provider.prompt_length + ids.shape[1]
-        assert want_logits.shape == (len(ids), width, lm.cfg.vocab_size)
+        assert want_logits_shape == (len(ids), width, lm.cfg.vocab_size)
         assert count == want_count == int(loss_mask.sum())
         assert_rel_close(loss.value, want_loss.value, "loss")
         assert set(grads) == set(want_grads)
@@ -537,6 +539,26 @@ def test_pruned_loss_matches_full_row_oracle(kind, rotary, frozen):
                 assert_rel_close(grads[name], g, name, scale=scale)
             else:
                 assert_rel_close(grads[name], g, name)
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_model_backward_writes_no_received_adjoint_and_keeps_leaf_grads_only(frozen):
+    lm = make_lm(hidden=16, heads=2, seed=8, frozen=frozen)
+    cfg = mt.MethodConfig(
+        kind="PT_MOE", prompt_length=4, num_experts=2, rank=3, init_text="a b 1\n",
+        router_w_std=1.0,
+    )
+    provider = mt.build(cfg, lm, RngStream(9).child("method"))
+    loss_mask, _ = LOSS_MASKS[0]
+    attn = (RAGGED_IDS != m.PAD_ID).astype(float)
+    batch = m.Batch(token_ids=RAGGED_IDS, attn_mask=attn, loss_mask=loss_mask * attn)
+    loss, _, _ = mt.loss_on_batch(provider, lm, batch, rng=RngStream(3), training=True)
+    received = snapshot_adjoints(loss)
+    grads = ad.backward(loss)
+    assert_adjoints_unwritten(received, loss)
+    assert any(name.startswith("lm.") for name in grads) == (not frozen)
+    for rec in graph_records(loss):
+        assert rec.grad is (None if rec.name is None else grads[rec.name])
 
 
 def test_kv_cache_rejects_left_padding_and_overflow():

@@ -159,7 +159,9 @@ def test_metrics_records_and_file(lm, tmp_path):
     assert result.steps_done == 4
     assert len(result.metrics) == 4
     for rec in result.metrics:
-        assert set(rec) == {"step", "lr", "loss", "grad_norm", "expert_counts", "skipped"}
+        assert set(rec) == {
+            "step", "lr", "loss", "grad_norm", "expert_counts", "expert_load", "skipped"
+        }
         assert np.isfinite(rec["loss"]) and np.isfinite(rec["grad_norm"])
     assert result.metrics[0]["lr"] == pytest.approx(0.5e-3)
     assert result.metrics[2]["lr"] == 1e-3
@@ -167,6 +169,22 @@ def test_metrics_records_and_file(lm, tmp_path):
     assert [l["step"] for l in lines] == [1, 2, 3, 4]
     # selection counts cover every routed example: grad_accum * batch per step
     assert sum(result.metrics[0]["expert_counts"]) == 8
+
+
+@pytest.mark.parametrize("probationary", [True, False])
+def test_expert_load_shows_what_non_selective_counts_cannot(lm, probationary):
+    # every expert is kept, so the counts are [8, 8] whatever the router does;
+    # the load is the routing weight each expert carried
+    provider = make_provider(lm, selective=False, probationary=probationary, sigma=0.0)
+    provider.router_w[...] = 0.0
+    provider.router_b[...] = [0.0, 3.0]
+    batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
+    cfg = tr.TrainConfig(steps=1, warmup_steps=1, lr=1e-3, grad_accum=2, seed=9)
+    (rec,) = tr.train(provider, lm, cfg, batch_fn).metrics
+    assert rec["expert_counts"] == [8, 8]
+    load = rec["expert_load"]
+    assert sum(load) == pytest.approx(8.0)
+    assert load[1] > 10 * load[0] > 0
 
 
 def test_grad_accum_equivalence(lm):
