@@ -19,10 +19,10 @@ its gradient flows through the pruning (``autodiff.take_rows``); the rows it
 skips would have contributed exact zeros.
 
 Greedy decoding runs through the same trunk with a ``KVCache``: one prefill
-over the right-padded [prompt | input] stores every layer's keys and values
-and reads one row per example, its last real position; then each new token
-costs one single-position forward that attends over the stored slots.
-Cached keys and values enter the graph as constants, so a cached forward is
+over the right-padded [prompt | input], run over a few examples at a time,
+stores every layer's keys and values and reads one row per example, its last
+real position; then each new token costs one single-position forward that
+attends over the stored slots. Cached keys and values enter the graph as constants, so a cached forward is
 for inference only.
 
 Tokenization is byte-level UTF-8: ids 0..255 are raw bytes, 256 is PAD and
@@ -30,6 +30,7 @@ Tokenization is byte-level UTF-8: ids 0..255 are raw bytes, 256 is PAD and
 that train on padded/terminated batches use 258.
 """
 
+import copy
 import hashlib
 from dataclasses import dataclass, field
 
@@ -41,6 +42,10 @@ from .errors import ConfigError, DataError, ShapeError
 PAD_ID = 256
 EOS_ID = 257
 VOCAB_WITH_SPECIALS = 258
+
+# positions per chunk of generate's prefill: its transient activations scale
+# with this, not with the eval batch
+PREFILL_POSITIONS = 512
 
 
 def encode(text):
@@ -352,17 +357,21 @@ class ToyLM:
         are right-padded. One prefill over [prompt | input] fills a KV cache;
         past the last layer's keys and values it runs only row k + len_e - 1
         of each example, whose LM head gives the first token (``forward``'s
-        ``rows``). Every further token is one single-position forward in
-        which example e writes at its own next slot, k + len_e onwards, so
-        ragged rows are never re-padded. Returns a list of id lists, EOS
-        excluded.
+        ``rows``). The prefill runs in chunks of whole examples, at most
+        ``PREFILL_POSITIONS`` positions each (one example if it is longer),
+        each into its own rows of the one cache, so its activations are
+        bounded by the chunk and not by the batch. Every further token is
+        one single-position forward over the whole batch in which example e
+        writes at its own next slot, k + len_e onwards, so ragged rows are
+        never re-padded. Returns a list of id lists, EOS excluded.
         """
         if max_new < 1:
             raise ConfigError(f"max_new must be >= 1, got {max_new}")
+        prompt = None if prompt is None else np.asarray(prompt)
         ids = np.asarray(token_ids, dtype=np.int64)
         attn = np.asarray(attn_mask, dtype=np.float64)
         b, s = ids.shape
-        k = 0 if prompt is None else np.asarray(prompt).shape[1]
+        k = 0 if prompt is None else prompt.shape[1]
         if k + s + max_new > self.cfg.max_seq:
             raise ShapeError(
                 f"generation would reach length {k + s + max_new}, over max_seq "
@@ -372,8 +381,19 @@ class ToyLM:
         # the last generated token is never fed back, so it needs no slot
         cache = KVCache(self.cfg, b, k + s + max_new - 1)
         rows = (k + lengths - 1)[:, None]
-        logits = self.forward(prompt, self.embed(ids), attn, cache=cache, rows=rows).value
-        nxt = np.argmax(logits[:, 0], axis=-1)
+        embeds = self.embed(ids)
+        nxt = np.empty(b, dtype=np.int64)
+        chunk = max(1, PREFILL_POSITIONS // (k + s))
+        for lo in range(0, b, chunk):
+            part = slice(lo, lo + chunk)
+            logits = self.forward(
+                None if prompt is None else prompt[part],
+                embeds[part],
+                attn[part],
+                cache=cache.rows(part),
+                rows=rows[part],
+            ).value
+            nxt[part] = np.argmax(logits[:, 0], axis=-1)
         done = np.zeros(b, dtype=bool)
         out = [[] for _ in range(b)]
         for step in range(max_new):
@@ -407,6 +427,14 @@ class KVCache:
         self.valid = np.zeros((batch, capacity), dtype=bool)
         self.next_pos = np.zeros(batch, dtype=np.int64)
 
+    def rows(self, part):
+        """The examples of slice ``part`` as a cache that shares this one's arrays."""
+        view = copy.copy(self)
+        view.keys = [a[part] for a in self.keys]
+        view.values = [a[part] for a in self.values]
+        view.valid, view.next_pos = self.valid[part], self.next_pos[part]
+        return view
+
     def claim(self, key_ok):
         """Give n new rows per example their positions; returns (pos, allow).
 
@@ -424,7 +452,7 @@ class KVCache:
         if width > self.valid.shape[1]:
             raise ShapeError(f"position {width - 1} is past the cache capacity {self.valid.shape[1]}")
         self.valid[np.arange(b)[:, None], pos] = key_ok
-        self.next_pos = self.next_pos + key_ok.sum(axis=1).astype(np.int64)
+        self.next_pos += key_ok.sum(axis=1).astype(np.int64)
         causal = np.arange(width) <= pos[:, :, None]
         return pos, (causal & self.valid[:, None, :width])[:, None]
 

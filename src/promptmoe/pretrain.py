@@ -199,6 +199,21 @@ def pretrain_lr(step, pcfg):
     return pcfg.lr * (1.0 - 0.9 * frac)
 
 
+def _pretrain_step(lm, batch, state, lr, step):
+    """One AdamW step on every weight; returns the mean token loss.
+
+    The loss graph and the gradients live only in this call, so they are
+    freed before the next step's forward runs.
+    """
+    loss_node, count = lm.loss_on_tokens(batch)
+    if not np.isfinite(loss_node.value):
+        raise NumericalError(f"pretraining loss non-finite at step {step}")
+    grads = ad.backward(ad.scale(loss_node, 1.0 / max(count, 1)))
+    grads = {name.removeprefix("lm."): g for name, g in grads.items()}
+    adamw_step(lm.params, grads, state, lr)
+    return float(loss_node.value) / max(count, 1)
+
+
 def pretrain_base(pcfg, log_every=0, log_fn=print):
     """Train a fresh model on the synthetic corpus and freeze it."""
     lm = ToyLM.create(pcfg.lm_config(), RngStream(pcfg.seed).child("lm_init"), pcfg.init_std)
@@ -212,14 +227,7 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
         idx = root.child("batch", step).integers(
             0, len(docs), (pcfg.batch_size, per_row)
         )
-        batch = _doc_batch(docs, idx, pack)
-        loss_node, count = lm.loss_on_tokens(batch)
-        if not np.isfinite(loss_node.value):
-            raise NumericalError(f"pretraining loss non-finite at step {step}")
-        grads = ad.backward(ad.scale(loss_node, 1.0 / max(count, 1)))
-        grads = {name.removeprefix("lm."): g for name, g in grads.items()}
-        adamw_step(lm.params, grads, state, pretrain_lr(step, pcfg))
-        last = float(loss_node.value) / max(count, 1)
+        last = _pretrain_step(lm, _doc_batch(docs, idx, pack), state, pretrain_lr(step, pcfg), step)
         if log_every and step % log_every == 0:
             log_fn(f"pretrain step {step}/{pcfg.steps} loss {last:.4f}")
     lm.freeze()

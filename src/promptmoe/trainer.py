@@ -138,22 +138,11 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
             step_load = np.zeros(n_experts)
             for micro in range(cfg.grad_accum):
                 batch = batch_fn(step, micro)
-                noise_rng = root.child("noise", step, micro)
-                loss, count, routing = mt.loss_on_batch(
-                    provider, lm, batch, rng=noise_rng, training=True
+                loss, count, routing = _accumulate_micro_batch(
+                    provider, lm, batch, root.child("noise", step, micro), accum, step
                 )
-                if not np.isfinite(loss.value):
-                    raise NumericalError(
-                        f"non-finite loss at step {step} on batch ids {batch.ids[:4]}"
-                    )
-                loss_total += float(loss.value)
+                loss_total += loss
                 token_total += count
-                grads = ad.backward(ad.scale(loss, 1.0 / max(count, 1)))
-                for name, g in grads.items():
-                    if name in accum:
-                        accum[name] += g
-                    else:
-                        accum[name] = g.copy()
                 if routing is not None:
                     step_counts += routing.mask.sum(axis=0)
                     step_load += routing.weights.sum(axis=0)
@@ -181,6 +170,23 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
     if lm.param_hash() != base_hash:
         raise NumericalError("frozen base model changed during training")
     return TrainResult(metrics, state, cfg.steps, expert_totals)
+
+
+def _accumulate_micro_batch(provider, lm, batch, noise_rng, accum, step):
+    """Add one micro-batch's gradients into ``accum``; returns (summed loss, count, routing).
+
+    The loss graph and its saved arrays live only in this call, so they are
+    freed before the next micro-batch's forward runs.
+    """
+    loss, count, routing = mt.loss_on_batch(provider, lm, batch, rng=noise_rng, training=True)
+    if not np.isfinite(loss.value):
+        raise NumericalError(f"non-finite loss at step {step} on batch ids {batch.ids[:4]}")
+    for name, g in ad.backward(ad.scale(loss, 1.0 / max(count, 1))).items():
+        if name in accum:
+            accum[name] += g
+        else:
+            accum[name] = g.copy()
+    return float(loss.value), count, routing
 
 
 def write_npz(path, arrays):

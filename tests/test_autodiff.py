@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -234,6 +235,16 @@ def test_ops_on_constants_record_no_graph():
     grads = ad.backward(ad.sum_all(mixed))
     assert np.array_equal(grads["x"], np.full((2, 3), 2.0)) and x.grad is grads["x"]
     assert b.grad is None and ad.CONST.grad is None  # the constant operand gets no adjoint
+
+
+def traced_peak(fn):
+    """The peak bytes tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def graph_records(loss):

@@ -6,7 +6,7 @@ from promptmoe import methods as mt
 from promptmoe import model as m
 from promptmoe.errors import ConfigError, DataError, ShapeError
 from promptmoe.linalg import RngStream
-from test_autodiff import assert_adjoints_unwritten, graph_records, snapshot_adjoints
+from test_autodiff import assert_adjoints_unwritten, graph_records, snapshot_adjoints, traced_peak
 
 
 def make_lm(vocab=258, hidden=16, layers=2, heads=2, max_seq=64, seed=0, frozen=True,
@@ -442,9 +442,29 @@ def test_frozen_prompt_gradient_equals_unfrozen():
     assert np.array_equal(g_frozen["prompt"], g_unfrozen["prompt"])
 
 
+def generate_with_prefill_chunk(lm, monkeypatch, positions, prompt, ids, attn, max_new):
+    """``generate`` with ``PREFILL_POSITIONS`` set to ``positions`` and no EOS.
+
+    Returns (tokens, every LM-head application, the KV cache it filled).
+    """
+    caches = []
+
+    class Recorded(m.KVCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(m, "PREFILL_POSITIONS", positions)
+        patch.setattr(m, "KVCache", Recorded)
+        out, calls = traced_generate(lm, prompt, ids, attn, max_new, eos_id=-1)
+    (cache,) = caches
+    return out, calls, cache
+
+
 @pytest.mark.parametrize("rotary", [True, False])
 @pytest.mark.parametrize("k", [0, 3])
-def test_pruned_prefill_matches_unpruned_rows_and_cache(rotary, k):
+def test_pruned_prefill_matches_unpruned_rows_and_cache(rotary, k, monkeypatch):
     lm = make_lm(hidden=32, heads=4, seed=6, rotary=rotary)
     ids = RAGGED_IDS
     attn = (ids != m.PAD_ID).astype(float)
@@ -482,6 +502,40 @@ def test_pruned_prefill_matches_unpruned_rows_and_cache(rotary, k):
         for c in caches
     ]
     assert np.array_equal(steps[0].value, steps[1].value)
+    # generate's prefill in chunks of whole examples fills the cache one
+    # whole-batch prefill fills: 3 examples and a remainder of 1, or 1 each
+    whole, whole_calls, whole_cache = generate_with_prefill_chunk(
+        lm, monkeypatch, len(ids) * total, prompt, ids, attn, 4
+    )
+    assert [c.value.shape[0] for c in whole_calls] == [len(ids)] * 4
+    for positions, chunks in ((3 * total, [3, 1]), (1, [1] * len(ids))):
+        out, calls, cache = generate_with_prefill_chunk(lm, monkeypatch, positions, prompt, ids, attn, 4)
+        assert out == whole
+        assert [c.value.shape[0] for c in calls] == chunks + [len(ids)] * 3
+        first = np.concatenate([c.value for c in calls[: len(chunks)]])
+        np.testing.assert_allclose(first, whole_calls[0].value, rtol=0, atol=1e-12)
+        for layer in range(lm.cfg.layers):
+            assert np.array_equal(cache.keys[layer], whole_cache.keys[layer])
+            assert np.array_equal(cache.values[layer], whole_cache.values[layer])
+        assert np.array_equal(cache.valid, whole_cache.valid)
+        assert np.array_equal(cache.next_pos, whole_cache.next_pos)
+
+
+def test_generate_memory_is_the_cache_plus_one_prefill_chunk():
+    # the decode shape: 64 examples, a 40-row prompt, inputs of up to 19
+    # tokens and 19 new ones, on a 2-layer model of width 64
+    lm = make_lm(hidden=64, layers=2, heads=2, max_seq=256, seed=1)
+    b, k, s, max_new, h = 64, 40, 19, 19, lm.cfg.hidden
+    rng = np.random.default_rng(0)
+    attn = (np.arange(s) < rng.integers(5, s + 1, b)[:, None]).astype(float)
+    ids = np.where(attn > 0, rng.integers(0, 256, (b, s)), m.PAD_ID)
+    prompt = rng.normal(size=(b, k, h))
+    cache = 2 * lm.cfg.layers * b * (k + s + max_new - 1) * h * 8
+    mlp = m.PREFILL_POSITIONS * 4 * h * 8  # one MLP activation of a full prefill chunk
+    peak = traced_peak(lambda: lm.generate(prompt, ids, attn, max_new, eos_id=-1))
+    # a whole-batch prefill peaked at 62.6 MB here, the cache (10.1 MB)
+    # plus about 50 such activations
+    assert peak < cache + 10 * mlp, peak
 
 
 # (loss mask, largest loss-row count m): ragged with one empty example, and m == 1

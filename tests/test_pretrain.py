@@ -6,6 +6,7 @@ every answer value withheld. Nothing here may pair a task input with its
 answer.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from promptmoe import pretrain as pt
 from promptmoe.data import EOS_ID, PAD_ID
+from test_autodiff import traced_peak
 
 DOCS = pt.gen_docs(2000, seed=0)
 
@@ -159,3 +161,14 @@ def test_ensure_base_caches(tmp_path):
     second, path2 = pt.ensure_base(pcfg, cache_dir=str(tmp_path))
     assert path1 == path2
     assert first.param_hash() == second.param_hash()
+
+
+def test_step_graph_is_freed_before_the_next_forward():
+    # two steps peak where one does once the first step's graph and
+    # gradients are gone before the second forward (keeping them put two
+    # steps 60% above)
+    pcfg = pt.PretrainConfig(hidden=16, layers=1, heads=2, max_seq=64, docs=60, steps=1, batch_size=4)
+    pt.pretrain_base(pcfg)  # warm-up: first-call caches are not the graph's
+    one = traced_peak(lambda: pt.pretrain_base(pcfg))
+    two = traced_peak(lambda: pt.pretrain_base(dataclasses.replace(pcfg, steps=2)))
+    assert two <= 1.05 * one, (two, one)
