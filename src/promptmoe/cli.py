@@ -168,13 +168,17 @@ def cmd_inspect_routing(args):
 
 
 def cmd_param_table(args):
+    for flag, width in (("--hidden", args.hidden), ("--scale-to", args.scale_to)):
+        if width is not None and width < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {width}")
+
     def emit(h):
         print(f"trainable parameters at hidden={h}:")
         for kind, count, label, target, rel in mt.budget_table(h):
             print(f"  {kind:>7}: {count:>7,} ({label})  target {target:>9,.1f}  {rel:+.1%}")
 
     emit(args.hidden)
-    if args.scale_to:
+    if args.scale_to is not None:
         emit(args.scale_to)
     return 0
 

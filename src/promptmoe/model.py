@@ -108,7 +108,6 @@ class ToyLM:
         self.cfg = cfg
         self.params = params
         self.frozen = frozen
-        self._node_cache = {}
         if cfg.rotary:
             self._cos, self._sin = _rope_tables(cfg.max_seq, cfg.hidden // cfg.heads)
 
@@ -152,16 +151,26 @@ class ToyLM:
             digest.update(np.ascontiguousarray(self.params[name]).tobytes())
         return digest.hexdigest()
 
-    def _p(self, name):
-        # frozen tensors enter the graph as constants: no gradient entries.
-        # Unfrozen tensors are cached per forward so a twice-used tensor
-        # (the tied embedding table) is one node with one accumulated grad.
+    def _weights(self):
+        """One forward's lookup from weight name to graph node.
+
+        Frozen weights enter the graph as constants: no gradient entries.
+        Unfrozen weights become named leaves, one per name per lookup, so a
+        twice-used weight (the tied embedding table) is one node with one
+        accumulated gradient. Every forward makes its own lookup, so
+        concurrent forwards on one model build separate graphs.
+        """
         if self.frozen:
-            return ad.const(self.params[name])
-        node = self._node_cache.get(name)
-        if node is None:
-            node = self._node_cache[name] = ad.leaf(self.params[name], f"lm.{name}")
-        return node
+            return lambda name: ad.const(self.params[name])
+        nodes = {}
+
+        def leaf(name):
+            node = nodes.get(name)
+            if node is None:
+                node = nodes[name] = ad.leaf(self.params[name], f"lm.{name}")
+            return node
+
+        return leaf
 
     def embed(self, token_ids):
         """Raw embedding rows for ids; validates range and names the offender."""
@@ -199,7 +208,8 @@ class ToyLM:
         holds and are stored in it. attn_mask must then be right-padded.
         """
         x, attn_mask, k = self._inputs(prompt, input_embeds, attn_mask)
-        return self._head(self._trunk(x, attn_mask, k, cache, rows))
+        w = self._weights()
+        return self._head(self._trunk(x, attn_mask, k, w, cache, rows), w)
 
     def _inputs(self, prompt, input_embeds, attn_mask):
         """Validate ``forward``'s arguments; returns the [prompt | input] node, mask and k."""
@@ -217,7 +227,6 @@ class ToyLM:
         if attn_mask.shape != (b, s):
             raise ShapeError(f"attention mask {attn_mask.shape} does not match ({b}, {s})")
 
-        self._node_cache = {}
         if k > 0:
             x = ad.concat([ad.as_node(prompt), ad.const(embeds)], axis=1)
         else:
@@ -228,12 +237,14 @@ class ToyLM:
         """Logits with a differentiable embedding lookup; the pretraining path."""
         ids = np.asarray(token_ids, dtype=np.int64)
         self.embed(ids)  # range validation only
-        self._node_cache = {}
-        x = ad.embedding(self._p("emb"), ids)
-        return self._head(self._trunk(x, np.asarray(attn_mask, dtype=np.float64), 0))
+        w = self._weights()
+        x = ad.embedding(w("emb"), ids)
+        return self._head(self._trunk(x, np.asarray(attn_mask, dtype=np.float64), 0, w), w)
 
-    def _trunk(self, x, attn_mask, k, cache=None, rows=None):
+    def _trunk(self, x, attn_mask, k, w, cache=None, rows=None):
         """Hidden states after the final layernorm, (b, k+s, hidden).
+
+        ``w`` is the forward's weight lookup (``_weights``).
 
         ``rows`` (b, m), indices unique within each example, prunes the
         forward to m rows per example: the last layer still computes (and
@@ -253,7 +264,7 @@ class ToyLM:
         else:
             pos, allow = cache.claim(np.concatenate([np.ones((b, k)), attn_mask], axis=1))
         if not self.cfg.rotary:
-            x = ad.add(x, self._pos_rows(pos))
+            x = ad.add(x, self._pos_rows(pos, w))
         rope_pos = pos if cache is None else pos[:, None]  # broadcast over heads
         heads, dh = self.cfg.heads, self.cfg.hidden // self.cfg.heads
 
@@ -263,11 +274,11 @@ class ToyLM:
 
         n = total
         for i in range(self.cfg.layers):
-            ln1 = ad.layernorm(x, self._p(f"l{i}.ln1.g"), self._p(f"l{i}.ln1.b"))
-            key = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wk")), self._p(f"l{i}.bk")))
+            ln1 = ad.layernorm(x, w(f"l{i}.ln1.g"), w(f"l{i}.ln1.b"))
+            key = split_heads(ad.add(ad.matmul(ln1, w(f"l{i}.wk")), w(f"l{i}.bk")))
             if self.cfg.rotary:
                 key = self._rope(key, rope_pos)
-            val = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wv")), self._p(f"l{i}.bv")))
+            val = split_heads(ad.add(ad.matmul(ln1, w(f"l{i}.wv")), w(f"l{i}.bv")))
             if cache is not None:
                 key, val = (ad.const(a) for a in cache.write(i, pos, key.value, val.value))
             if rows is not None and i == self.cfg.layers - 1:
@@ -276,31 +287,31 @@ class ToyLM:
                 allow = allow[e, 0, rows][:, None]
                 rope_pos = np.broadcast_to(pos, (b, total))[e, rows][:, None]
                 n = rows.shape[1]
-            q = split_heads(ad.add(ad.matmul(ln1, self._p(f"l{i}.wq")), self._p(f"l{i}.bq")))
+            q = split_heads(ad.add(ad.matmul(ln1, w(f"l{i}.wq")), w(f"l{i}.bq")))
             if self.cfg.rotary:
                 q = self._rope(q, rope_pos)
             scores = ad.scale(ad.matmul(q, ad.transpose(key, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
             probs = ad.masked_softmax(scores, allow)
             ctx = ad.reshape(ad.transpose(ad.matmul(probs, val), (0, 2, 1, 3)), (b, n, h))
-            attn = ad.add(ad.matmul(ctx, self._p(f"l{i}.wo")), self._p(f"l{i}.bo"))
+            attn = ad.add(ad.matmul(ctx, w(f"l{i}.wo")), w(f"l{i}.bo"))
             x = ad.add(x, attn)
-            ln2 = ad.layernorm(x, self._p(f"l{i}.ln2.g"), self._p(f"l{i}.ln2.b"))
-            inner = ad.gelu(ad.add(ad.matmul(ln2, self._p(f"l{i}.w1")), self._p(f"l{i}.b1")))
-            mlp = ad.add(ad.matmul(inner, self._p(f"l{i}.w2")), self._p(f"l{i}.b2"))
+            ln2 = ad.layernorm(x, w(f"l{i}.ln2.g"), w(f"l{i}.ln2.b"))
+            inner = ad.gelu(ad.add(ad.matmul(ln2, w(f"l{i}.w1")), w(f"l{i}.b1")))
+            mlp = ad.add(ad.matmul(inner, w(f"l{i}.w2")), w(f"l{i}.b2"))
             x = ad.add(x, mlp)
-        return ad.layernorm(x, self._p("lnf.g"), self._p("lnf.b"))
+        return ad.layernorm(x, w("lnf.g"), w("lnf.b"))
 
-    def _head(self, x):
+    def _head(self, x, w):
         """LM-head logits of hidden states x, tied to the embedding table."""
-        return ad.matmul(x, ad.transpose(self._p("emb"), (1, 0)))
+        return ad.matmul(x, ad.transpose(w("emb"), (1, 0)))
 
-    def _pos_rows(self, pos):
+    def _pos_rows(self, pos, w):
         """Learned position-table rows for an integer array of positions."""
         if self.frozen:
             return ad.const(self.params["pos"][pos])
         # a one-hot matmul keeps the full table as the leaf so its gradient has table shape
         sel = (pos[..., None] == np.arange(self.params["pos"].shape[0])).astype(np.float64)
-        return ad.matmul(ad.const(sel), self._p("pos"))
+        return ad.matmul(ad.const(sel), w("pos"))
 
     def loss_on_batch(self, prompt, batch):
         """Summed masked NLL plus token count for the standard next-token setup.

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import pad_right
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .linalg import RngStream
 from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
 from .trainer import AdamWState, adamw_step, read_npz, write_npz
@@ -61,6 +61,14 @@ class PretrainConfig:
     # bump when the document generators change; the cache key hashes this
     # config, not the generator code
     corpus_version: int = 3
+
+    def __post_init__(self):
+        for name, least in (("docs", 1), ("steps", 1), ("batch_size", 1), ("pack_len", 2), ("warmup_steps", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("lr", "init_std"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
     def lm_config(self):
         return LMConfig(
@@ -199,23 +207,70 @@ def pretrain_lr(step, pcfg):
     return pcfg.lr * (1.0 - 0.9 * frac)
 
 
-def _pretrain_step(lm, batch, state, lr, step):
-    """One AdamW step on every weight; returns the mean token loss.
+# a pretraining batch runs as this many fixed row parts, the first in the
+# caller and the others on worker threads; a constant, never the core count,
+# so a base is bitwise the same on every machine
+STEP_PARTS = 2
 
-    The loss graph and the gradients live only in this call, so they are
-    freed before the next step's forward runs.
+
+def _part_grads(lm, batch, rows, scale, step):
+    """(summed token loss, gradients) of ``batch``'s rows ``rows``, the loss scaled by ``scale``.
+
+    The graph lives only in this call. The gradients may share memory with
+    adjoints, so they are read-only.
     """
-    loss_node, count = lm.loss_on_tokens(batch)
+    part = Batch(
+        token_ids=batch.token_ids[rows],
+        attn_mask=batch.attn_mask[rows],
+        loss_mask=batch.loss_mask[rows],
+    )
+    loss_node, _ = lm.loss_on_tokens(part)
     if not np.isfinite(loss_node.value):
         raise NumericalError(f"pretraining loss non-finite at step {step}")
-    grads = ad.backward(ad.scale(loss_node, 1.0 / max(count, 1)))
-    grads = {name.removeprefix("lm."): g for name, g in grads.items()}
+    return float(loss_node.value), ad.backward(ad.scale(loss_node, scale))
+
+
+def _pretrain_step(lm, batch, state, lr, step, pool):
+    """One AdamW step on every weight; returns the mean token loss.
+
+    The batch rows split into ``STEP_PARTS`` fixed contiguous parts (a part
+    left empty is dropped, so a one-row batch runs whole). Part 0 runs in the
+    caller and the others on ``pool``'s workers, each with its loss scaled
+    by one over the whole batch's token count, and their gradients are
+    summed in part order into new arrays. The sum equals one whole-batch
+    backward up to summation order and is the same on every run. The
+    graphs and gradients live only in this call, so they are freed before
+    the next step's forward runs.
+    """
+    # loss_on_tokens scores every masked token but each row's first
+    count = max(int(batch.loss_mask[:, 1:].sum()), 1)
+    scale = 1.0 / count
+    bounds = [batch.size * i // STEP_PARTS for i in range(STEP_PARTS + 1)]
+    parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    futures = [pool.submit(_part_grads, lm, batch, rows, scale, step) for rows in parts[1:]]
+    try:
+        results = [_part_grads(lm, batch, parts[0], scale, step)]
+    finally:
+        for future in futures:
+            future.exception()  # waits, so no part outlives the step
+    results += [future.result() for future in futures]
+    grads = {}
+    for _, part in results:
+        for name, g in part.items():
+            name = name.removeprefix("lm.")
+            grads[name] = g if name not in grads else grads[name] + g
     adamw_step(lm.params, grads, state, lr)
-    return float(loss_node.value) / max(count, 1)
+    return sum(loss for loss, _ in results) / count
 
 
 def pretrain_base(pcfg, log_every=0, log_fn=print):
-    """Train a fresh model on the synthetic corpus and freeze it."""
+    """Train a fresh model on the synthetic corpus and freeze it.
+
+    The step's worker threads live only inside this call: they are joined
+    when it returns or raises.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # only pretraining starts threads
+
     lm = ToyLM.create(pcfg.lm_config(), RngStream(pcfg.seed).child("lm_init"), pcfg.init_std)
     docs = gen_corpus(pcfg.docs, pcfg.seed)
     state = AdamWState(lm.params)
@@ -223,13 +278,16 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
     last = float("nan")
     pack = min(pcfg.pack_len, pcfg.max_seq)
     per_row = pack // 8 + 2  # enough docs to overfill any row
-    for step in range(1, pcfg.steps + 1):
-        idx = root.child("batch", step).integers(
-            0, len(docs), (pcfg.batch_size, per_row)
-        )
-        last = _pretrain_step(lm, _doc_batch(docs, idx, pack), state, pretrain_lr(step, pcfg), step)
-        if log_every and step % log_every == 0:
-            log_fn(f"pretrain step {step}/{pcfg.steps} loss {last:.4f}")
+    with ThreadPoolExecutor(STEP_PARTS - 1, thread_name_prefix="pretrain-part") as pool:
+        for step in range(1, pcfg.steps + 1):
+            idx = root.child("batch", step).integers(
+                0, len(docs), (pcfg.batch_size, per_row)
+            )
+            last = _pretrain_step(
+                lm, _doc_batch(docs, idx, pack), state, pretrain_lr(step, pcfg), step, pool
+            )
+            if log_every and step % log_every == 0:
+                log_fn(f"pretrain step {step}/{pcfg.steps} loss {last:.4f}")
     lm.freeze()
     return lm, last
 

@@ -62,6 +62,25 @@ def test_param_table_scale_to(capsys):
     assert "hidden=64" in out
 
 
+@pytest.mark.parametrize("flag,width", [("--hidden", "0"), ("--hidden", "-64"), ("--scale-to", "0")])
+def test_param_table_rejects_widths_below_1(flag, width, capsys):
+    assert run_cli("param-table", flag, width) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing printed before the check
+    assert f"config error: {flag} must be >= 1, got {width}" in err
+
+
+@pytest.mark.parametrize("key,value", [("batch_size", 0), ("docs", 0), ("pack_len", 0), ("steps", 0)])
+def test_pretrain_base_rejects_bad_base_settings_before_training(key, value, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"base": {key: value}}))
+    cache = tmp_path / "cache"
+    assert run_cli("pretrain-base", "--config", str(path), "--cache-dir", str(cache),
+                   "--force", "--quiet") == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not cache.exists()  # no untrained base is cached
+
+
 def test_missing_config_file_is_exit_2(capsys):
     assert run_cli("train", "--seed", "1", "--config", "/nonexistent.json") == 2
     assert "config error" in capsys.readouterr().err

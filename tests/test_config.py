@@ -103,6 +103,14 @@ def test_partial_override_keeps_other_defaults():
         ("train", "warmup_steps", -1),
         ("train", "lr", 0.0),
         ("eval", "max_new", -1),
+        ("base", "docs", 0),
+        ("base", "steps", 0),
+        ("base", "batch_size", 0),
+        ("base", "pack_len", 0),
+        ("base", "pack_len", 1),
+        ("base", "warmup_steps", -1),
+        ("base", "lr", 0.0),
+        ("base", "init_std", 0.0),
         ("method", "rank", 41),  # above the shipped prompt length of 40
         ("method", "rank", "big"),
         ("method", "rank", True),

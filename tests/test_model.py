@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -474,7 +477,7 @@ def test_pruned_prefill_matches_unpruned_rows_and_cache(rotary, k, monkeypatch):
 
     def trunk(cache, **kw):
         x, mask, _ = lm._inputs(prompt, lm.embed(ids), attn)
-        return lm._trunk(x, mask, k, cache, **kw).value
+        return lm._trunk(x, mask, k, lm._weights(), cache, **kw).value
 
     # uncached, at one row and at three unsorted rows per example (padding included)
     full = trunk(None)
@@ -674,3 +677,39 @@ def test_param_hash_tracks_content():
     lm.params["emb"] = lm.params["emb"].copy()
     lm.params["emb"][0, 0] += 1e-12
     assert lm.param_hash() != h1
+
+
+def test_concurrent_forwards_on_one_unfrozen_model_match_serial_ones():
+    # each forward looks its weights up as its own leaves, so threads running
+    # forward_tokens + backward on one model build separate graphs; more
+    # threads than cores and a short switch interval interleave them finely
+    lm = make_lm(hidden=16, heads=2, seed=4, frozen=False)
+    rng = np.random.default_rng(5)
+    batches = [simple_batch(rng.integers(0, 256, (2, 12))) for _ in range(4)]
+
+    def grads(batch):
+        loss, count = lm.loss_on_tokens(batch)
+        return ad.backward(ad.scale(loss, 1.0 / count))
+
+    serial = [grads(b) for b in batches]
+    out = [None] * len(batches)
+
+    def worker(i):
+        for _ in range(5):
+            out[i] = grads(batches[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(serial, out):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name

@@ -6,14 +6,20 @@ every answer value withheld. Nothing here may pair a task input with its
 answer.
 """
 
+import concurrent.futures
 import dataclasses
 import re
+import threading
 
 import numpy as np
 import pytest
 
+from promptmoe import autodiff as ad
 from promptmoe import pretrain as pt
 from promptmoe.data import EOS_ID, PAD_ID
+from promptmoe.errors import NumericalError
+from promptmoe.linalg import RngStream
+from promptmoe.model import ToyLM
 from test_autodiff import traced_peak
 
 DOCS = pt.gen_docs(2000, seed=0)
@@ -172,3 +178,95 @@ def test_step_graph_is_freed_before_the_next_forward():
     one = traced_peak(lambda: pt.pretrain_base(pcfg))
     two = traced_peak(lambda: pt.pretrain_base(dataclasses.replace(pcfg, steps=2)))
     assert two <= 1.05 * one, (two, one)
+
+
+TINY = pt.PretrainConfig(hidden=16, layers=1, heads=2, max_seq=64, docs=60, steps=4,
+                         batch_size=5, pack_len=24, warmup_steps=1)
+
+
+def test_split_step_matches_one_whole_batch_backward(monkeypatch):
+    lm = ToyLM.create(TINY.lm_config(), RngStream(0).child("lm_init"))
+    docs = pt.gen_corpus(TINY.docs, 0)
+    # one doc per row: ragged rows, so both halves hold padding; 5 rows split 2 + 3
+    batch = pt._doc_batch(docs, [[i] for i in range(5)], TINY.pack_len)
+    assert (batch.attn_mask == 0).any()
+    loss, count = lm.loss_on_tokens(batch)
+    want = ad.backward(ad.scale(loss, 1.0 / count))
+    seen = {}
+    monkeypatch.setattr(pt, "adamw_step", lambda params, grads, state, lr: seen.update(grads))
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        got = pt._pretrain_step(lm, batch, None, 1e-3, 1, pool)
+    assert got == pytest.approx(float(loss.value) / count, rel=1e-12)
+    assert sorted(seen) == sorted(name.removeprefix("lm.") for name in want)
+    for name, g in want.items():
+        np.testing.assert_allclose(seen[name.removeprefix("lm.")], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+
+
+class SerialPool:
+    """A ThreadPoolExecutor stand-in that runs each submitted part at once, in the caller."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:  # handed to the caller through the future, as a worker would
+            future.set_exception(e)
+        return future
+
+
+def test_split_pretraining_repeats_bitwise_and_matches_a_serial_run(monkeypatch):
+    runs = [pt.pretrain_base(TINY) for _ in range(2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        runs.append(pt.pretrain_base(TINY))
+    (lm, loss), *others = runs
+    assert np.isfinite(loss)
+    for other, other_loss in others:
+        assert other.param_hash() == lm.param_hash()
+        assert other_loss == loss
+
+
+def test_one_row_batch_pretrains():
+    lm, loss = pt.pretrain_base(dataclasses.replace(TINY, batch_size=1, steps=2))
+    assert np.isfinite(loss)
+    init = ToyLM.create(TINY.lm_config(), RngStream(TINY.seed).child("lm_init"), TINY.init_std)
+    assert lm.param_hash() != init.param_hash()
+
+
+class StopHere(Exception):
+    pass
+
+
+def test_pretraining_threads_end_with_the_call(monkeypatch):
+    before = threading.active_count()
+    pt.pretrain_base(TINY)
+    assert threading.active_count() == before
+
+    def stop(line):
+        raise StopHere(line)
+
+    with pytest.raises(StopHere):
+        pt.pretrain_base(TINY, log_every=1, log_fn=stop)
+    assert threading.active_count() == before
+
+    # a worker's error re-raises in the caller
+    loss_on_tokens = ToyLM.loss_on_tokens
+
+    def fail_off_main(self, batch):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericalError("worker part failed")
+        return loss_on_tokens(self, batch)
+
+    monkeypatch.setattr(ToyLM, "loss_on_tokens", fail_off_main)
+    with pytest.raises(NumericalError, match="worker part failed"):
+        pt.pretrain_base(TINY)
+    assert threading.active_count() == before
