@@ -428,10 +428,14 @@ def masked_nll(logits, targets, loss_mask):
         raise ShapeError(f"target id out of range for vocab {vsize}")
     flat = np.ascontiguousarray(logits.value.reshape(-1, vsize))  # no copy: logits come from matmul
     loss, dflat = kernels.nll_fwd_bwd(flat, targets.reshape(-1), mask.reshape(-1))
-    dfull = dflat.reshape(logits.value.shape)
+    # dlogits is the largest array a graph saves, so the rule lets go of it
+    # once used: backward runs each rule once
+    saved = [dflat.reshape(logits.value.shape)]
 
     def vjp(g):
-        return (g * dfull,)
+        if not saved:
+            raise GraphError("masked_nll's backward rule already ran: a graph runs backward once")
+        return (g * saved.pop(),)
 
     return Node(np.float64(loss), (logits,), vjp), int(mask.sum())
 

@@ -23,7 +23,7 @@ from .errors import ConfigError, NumericalError
 from .linalg import RngStream
 from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
 from .trainer import AdamWState, adamw_step, read_npz, write_npz
-from . import autodiff as ad
+from . import autodiff as ad, blas
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 TASK_MARKERS = ("copy", "reverse")  # reserved for answer-less format docs
@@ -213,61 +213,81 @@ def pretrain_lr(step, pcfg):
 STEP_PARTS = 2
 
 
-def _part_grads(lm, batch, rows, scale, step):
-    """(summed token loss, gradients) of ``batch``'s rows ``rows``, the loss scaled by ``scale``.
-
-    The graph lives only in this call. The gradients may share memory with
-    adjoints, so they are read-only.
-    """
+def _part_forward(lm, batch, rows, step):
+    """(summed token loss node, token count, logits node) of ``batch``'s rows ``rows``."""
     part = Batch(
         token_ids=batch.token_ids[rows],
         attn_mask=batch.attn_mask[rows],
         loss_mask=batch.loss_mask[rows],
     )
-    loss_node, _ = lm.loss_on_tokens(part)
-    if not np.isfinite(loss_node.value):
+    loss, count, logits = lm.loss_on_tokens(part, keep_logits=True)
+    if not np.isfinite(loss.value):
         raise NumericalError(f"pretraining loss non-finite at step {step}")
-    return float(loss_node.value), ad.backward(ad.scale(loss_node, scale))
+    return loss, count, logits
+
+
+def _in_parts(pool, fn, items):
+    """``[fn(item) for item in items]``, the first in the caller and the rest on ``pool``.
+
+    Returns once every call has finished, so none outlives it; an exception
+    re-raises in the caller, the caller's own first.
+    """
+    futures = [pool.submit(fn, item) for item in items[1:]]
+    try:
+        first = fn(items[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits
+    return [first] + [future.result() for future in futures]
 
 
 def _pretrain_step(lm, batch, state, lr, step, pool):
     """One AdamW step on every weight; returns the mean token loss.
 
     The batch rows split into ``STEP_PARTS`` fixed contiguous parts (a part
-    left empty is dropped, so a one-row batch runs whole). Part 0 runs in the
-    caller and the others on ``pool``'s workers, each with its loss scaled
-    by one over the whole batch's token count, and their gradients are
-    summed in part order into new arrays. The sum equals one whole-batch
-    backward up to summation order and is the same on every run. The
-    graphs and gradients live only in this call, so they are freed before
-    the next step's forward runs.
+    left empty is dropped, so a one-row batch runs whole), part 0 in the
+    caller and the others on ``pool``'s workers. Every part runs its
+    forward, then every part its backward, each with its loss scaled by one
+    over the whole batch's token count, and the gradients are summed in part
+    order into new arrays. The sum equals one whole-batch backward up to
+    summation order and is the same on every run.
+
+    A part ends its forward holding its graph, logits and saved dlogits,
+    and keeps the logits until every forward has finished, so the parts
+    stand at that level together at the join. Where no backward rule rises
+    above it, as at small widths, the step's peak memory then moves with
+    thread timing only by numpy's transient buffers in the last forward
+    ops; at the default widths the MLP and attention backward still rise
+    above it. The graphs and gradients live only in this call, so they are
+    freed before the next step's forward runs.
     """
-    # loss_on_tokens scores every masked token but each row's first
-    count = max(int(batch.loss_mask[:, 1:].sum()), 1)
-    scale = 1.0 / count
     bounds = [batch.size * i // STEP_PARTS for i in range(STEP_PARTS + 1)]
     parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    futures = [pool.submit(_part_grads, lm, batch, rows, scale, step) for rows in parts[1:]]
-    try:
-        results = [_part_grads(lm, batch, parts[0], scale, step)]
-    finally:
-        for future in futures:
-            future.exception()  # waits, so no part outlives the step
-    results += [future.result() for future in futures]
+    forwards = _in_parts(pool, lambda rows: _part_forward(lm, batch, rows, step), parts)
+    count = max(sum(count for _, count, _ in forwards), 1)
+    losses = [loss for loss, _, _ in forwards]
+    del forwards  # the logits
+    mean = sum(float(loss.value) for loss in losses) / count
+
+    def backward(i):
+        loss, losses[i] = losses[i], None  # the part's graph lives only in this call
+        return ad.backward(ad.scale(loss, 1.0 / count))
+
     grads = {}
-    for _, part in results:
+    for part in _in_parts(pool, backward, range(len(losses))):
         for name, g in part.items():
             name = name.removeprefix("lm.")
             grads[name] = g if name not in grads else grads[name] + g
     adamw_step(lm.params, grads, state, lr)
-    return sum(loss for loss, _ in results) / count
+    return mean
 
 
 def pretrain_base(pcfg, log_every=0, log_fn=print):
     """Train a fresh model on the synthetic corpus and freeze it.
 
     The step's worker threads live only inside this call: they are joined
-    when it returns or raises.
+    when it returns or raises. OpenBLAS runs on one thread for the call
+    (``blas.one_thread``), as each part's matmuls assume.
     """
     from concurrent.futures import ThreadPoolExecutor  # only pretraining starts threads
 
@@ -278,7 +298,7 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
     last = float("nan")
     pack = min(pcfg.pack_len, pcfg.max_seq)
     per_row = pack // 8 + 2  # enough docs to overfill any row
-    with ThreadPoolExecutor(STEP_PARTS - 1, thread_name_prefix="pretrain-part") as pool:
+    with blas.one_thread(), ThreadPoolExecutor(STEP_PARTS - 1, thread_name_prefix="pretrain-part") as pool:
         for step in range(1, pcfg.steps + 1):
             idx = root.child("batch", step).integers(
                 0, len(docs), (pcfg.batch_size, per_row)

@@ -210,6 +210,15 @@ def test_masked_nll_count_and_empty_mask():
     assert count == 0
 
 
+def test_masked_nll_rule_lets_go_of_dlogits_once_run():
+    logits = ad.leaf(np.zeros((1, 2, 4)), "lg")
+    loss, _ = ad.masked_nll(logits, np.array([[0, 3]]), np.ones((1, 2)))
+    want = np.array([[[-0.75, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25, -0.75]]])
+    assert np.array_equal(ad.backward(loss)["lg"], want)
+    with pytest.raises(GraphError, match="runs backward once"):
+        ad.backward(loss)
+
+
 def test_masked_nll_rejects_out_of_range_targets():
     with pytest.raises(ShapeError):
         ad.masked_nll(ad.const(np.zeros((1, 2, 4))), np.array([[0, 4]]), np.ones((1, 2)))

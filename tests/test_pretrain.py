@@ -261,10 +261,10 @@ def test_pretraining_threads_end_with_the_call(monkeypatch):
     # a worker's error re-raises in the caller
     loss_on_tokens = ToyLM.loss_on_tokens
 
-    def fail_off_main(self, batch):
+    def fail_off_main(self, batch, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise NumericalError("worker part failed")
-        return loss_on_tokens(self, batch)
+        return loss_on_tokens(self, batch, **kwargs)
 
     monkeypatch.setattr(ToyLM, "loss_on_tokens", fail_off_main)
     with pytest.raises(NumericalError, match="worker part failed"):
