@@ -338,15 +338,14 @@ class ToyLM:
         logits = self.forward(prompt, embeds, batch.attn_mask, rows=rows)
         return ad.masked_nll(logits, targets[pick], mask[pick])
 
-    def loss_on_tokens(self, batch, keep_logits=False):
-        """Same loss via the differentiable embedding path (no prompt).
+    def loss_on_tokens(self, batch):
+        """(loss, count, logits) via the differentiable embedding path (no prompt).
 
-        With ``keep_logits`` the logits node comes back as a third item, so
-        the caller decides when its value is freed.
+        The logits node comes back too, so the caller decides when its value
+        is freed.
         """
         logits = self.forward_tokens(batch.token_ids, batch.attn_mask)
-        loss, count = self._shifted_nll(logits, batch)
-        return (loss, count, logits) if keep_logits else (loss, count)
+        return (*self._shifted_nll(logits, batch), logits)
 
     def _shifted_nll(self, logits, batch):
         k = logits.value.shape[1] - batch.token_ids.shape[1]

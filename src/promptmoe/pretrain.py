@@ -220,7 +220,7 @@ def _part_forward(lm, batch, rows, step):
         attn_mask=batch.attn_mask[rows],
         loss_mask=batch.loss_mask[rows],
     )
-    loss, count, logits = lm.loss_on_tokens(part, keep_logits=True)
+    loss, count, logits = lm.loss_on_tokens(part)
     if not np.isfinite(loss.value):
         raise NumericalError(f"pretraining loss non-finite at step {step}")
     return loss, count, logits

@@ -190,7 +190,7 @@ def test_split_step_matches_one_whole_batch_backward(monkeypatch):
     # one doc per row: ragged rows, so both halves hold padding; 5 rows split 2 + 3
     batch = pt._doc_batch(docs, [[i] for i in range(5)], TINY.pack_len)
     assert (batch.attn_mask == 0).any()
-    loss, count = lm.loss_on_tokens(batch)
+    loss, count, _ = lm.loss_on_tokens(batch)
     want = ad.backward(ad.scale(loss, 1.0 / count))
     seen = {}
     monkeypatch.setattr(pt, "adamw_step", lambda params, grads, state, lr: seen.update(grads))
@@ -261,10 +261,10 @@ def test_pretraining_threads_end_with_the_call(monkeypatch):
     # a worker's error re-raises in the caller
     loss_on_tokens = ToyLM.loss_on_tokens
 
-    def fail_off_main(self, batch, **kwargs):
+    def fail_off_main(self, batch):
         if threading.current_thread() is not threading.main_thread():
             raise NumericalError("worker part failed")
-        return loss_on_tokens(self, batch, **kwargs)
+        return loss_on_tokens(self, batch)
 
     monkeypatch.setattr(ToyLM, "loss_on_tokens", fail_off_main)
     with pytest.raises(NumericalError, match="worker part failed"):
