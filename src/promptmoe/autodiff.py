@@ -428,14 +428,10 @@ def masked_nll(logits, targets, loss_mask):
         raise ShapeError(f"target id out of range for vocab {vsize}")
     flat = np.ascontiguousarray(logits.value.reshape(-1, vsize))  # no copy: logits come from matmul
     loss, dflat = kernels.nll_fwd_bwd(flat, targets.reshape(-1), mask.reshape(-1))
-    # dlogits is the largest array a graph saves, so the rule lets go of it
-    # once used: backward runs each rule once
-    saved = [dflat.reshape(logits.value.shape)]
+    dlogits = dflat.reshape(logits.value.shape)
 
     def vjp(g):
-        if not saved:
-            raise GraphError("masked_nll's backward rule already ran: a graph runs backward once")
-        return (g * saved.pop(),)
+        return (g * dlogits,)
 
     return Node(np.float64(loss), (logits,), vjp), int(mask.sum())
 
@@ -490,9 +486,11 @@ def backward(loss):
 
     Walks the records of the active nodes reachable from the loss. Each
     record's adjoint is handed to its backward rule, whose results go to
-    the parents; an unnamed record's adjoint is then dropped, so after
-    ``backward`` only named leaves hold a ``.grad``. Constants are never
-    visited, and a constant loss writes nothing anywhere and returns {}.
+    the parents. The rule, with the arrays it saved, and an unnamed record's
+    adjoint are then dropped, so after ``backward`` only named leaves hold a
+    ``.grad`` and no record holds a rule: a graph runs backward once.
+    Constants are never visited, and a constant loss writes nothing anywhere
+    and returns {}.
     Unreachable parameters simply do not appear in the result (treat as
     zero). A gradient may share memory with an adjoint a rule received, so
     treat it as read-only.
@@ -521,8 +519,11 @@ def backward(loss):
             continue
         if rec.parents:
             if rec.vjp is None:
-                raise GraphError("node with parents but no backward rule: graph is detached")
-            parts = rec.vjp(g)
+                raise GraphError(
+                    "node with parents but no backward rule: the graph is detached or its "
+                    "backward already ran (a graph runs backward once)"
+                )
+            parts, rec.vjp = rec.vjp(g), None  # frees the arrays the rule saved
             if len(parts) != len(rec.parents):
                 raise GraphError(
                     f"backward rule returned {len(parts)} adjoints for "

@@ -1,8 +1,11 @@
 """A small decoder-only causal LM, frozen during prompt training.
 
-Pre-LN transformer, rotary attention by default (a learned absolute
-position table remains available behind ``rotary=False``); the LM head is
-tied to the embedding table. The prompt is a per-example matrix of k soft
+Pre-LN transformer with rotary attention (RoFormer, Su et al.,
+arXiv:2104.09864) and no position table; the LM head is tied to the
+embedding table. Rotating queries and keys makes attention depend on
+relative offsets only, so circuits learned at one depth work at every
+depth, which prompted runs need: the prompt shifts the whole input deeper
+than any pretraining document. The prompt is a per-example matrix of k soft
 embedding rows occupying positions 0..k-1; input tokens follow at
 positions k.. and attend to the prompt like ordinary context. When the
 model is frozen its own tensors enter as autodiff constants, so a forward
@@ -26,8 +29,8 @@ attends over the stored slots. Cached keys and values enter the graph as constan
 for inference only.
 
 Tokenization is byte-level UTF-8: ids 0..255 are raw bytes, 256 is PAD and
-257 EOS. The stock model config keeps vocab_size=256 (bytes only); configs
-that train on padded/terminated batches use 258.
+257 EOS. The stock model config keeps vocab_size=256 (bytes only); a
+pretrained base uses ``VOCAB_WITH_SPECIALS`` (258).
 """
 
 import copy
@@ -63,19 +66,14 @@ class LMConfig:
     layers: int = 2
     heads: int = 2
     max_seq: int = 256
-    # rotate q/k instead of adding a learned position table. Attention
-    # then depends on relative offsets only, so circuits learned at one
-    # depth work at every depth - which prompted runs need, since the
-    # prompt shifts the whole input deeper than any pretraining doc.
-    rotary: bool = True
 
     def __post_init__(self):
-        if self.hidden % self.heads != 0:
-            raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if (self.hidden // self.heads) % 2 != 0 and self.rotary:
-            raise ConfigError(f"rotary needs an even head dim, got {self.hidden // self.heads}")
         if min(self.vocab_size, self.hidden, self.layers, self.heads, self.max_seq) < 1:
             raise ConfigError(f"non-positive model dimension in {self}")
+        if self.hidden % self.heads != 0:
+            raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
+        if (self.hidden // self.heads) % 2 != 0:
+            raise ConfigError(f"rotary needs an even head dim, got {self.hidden // self.heads}")
 
 
 @dataclass
@@ -108,8 +106,7 @@ class ToyLM:
         self.cfg = cfg
         self.params = params
         self.frozen = frozen
-        if cfg.rotary:
-            self._cos, self._sin = _rope_tables(cfg.max_seq, cfg.hidden // cfg.heads)
+        self._cos, self._sin = _rope_tables(cfg.max_seq, cfg.hidden // cfg.heads)
 
     def freeze(self):
         self.frozen = True
@@ -123,8 +120,6 @@ class ToyLM:
             "lnf.g": np.ones(h),
             "lnf.b": np.zeros(h),
         }
-        if not cfg.rotary:
-            p["pos"] = np.asarray(rng.child("pos").normal((cfg.max_seq, h), std=init_std))
         for i in range(cfg.layers):
             lr = rng.child("layer", i)
             p[f"l{i}.ln1.g"] = np.ones(h)
@@ -263,8 +258,6 @@ class ToyLM:
             allow = self._attention_allow(attn_mask, k)
         else:
             pos, allow = cache.claim(np.concatenate([np.ones((b, k)), attn_mask], axis=1))
-        if not self.cfg.rotary:
-            x = ad.add(x, self._pos_rows(pos, w))
         rope_pos = pos if cache is None else pos[:, None]  # broadcast over heads
         heads, dh = self.cfg.heads, self.cfg.hidden // self.cfg.heads
 
@@ -276,8 +269,7 @@ class ToyLM:
         for i in range(self.cfg.layers):
             ln1 = ad.layernorm(x, w(f"l{i}.ln1.g"), w(f"l{i}.ln1.b"))
             key = split_heads(ad.add(ad.matmul(ln1, w(f"l{i}.wk")), w(f"l{i}.bk")))
-            if self.cfg.rotary:
-                key = self._rope(key, rope_pos)
+            key = self._rope(key, rope_pos)
             val = split_heads(ad.add(ad.matmul(ln1, w(f"l{i}.wv")), w(f"l{i}.bv")))
             if cache is not None:
                 key, val = (ad.const(a) for a in cache.write(i, pos, key.value, val.value))
@@ -288,8 +280,7 @@ class ToyLM:
                 rope_pos = np.broadcast_to(pos, (b, total))[e, rows][:, None]
                 n = rows.shape[1]
             q = split_heads(ad.add(ad.matmul(ln1, w(f"l{i}.wq")), w(f"l{i}.bq")))
-            if self.cfg.rotary:
-                q = self._rope(q, rope_pos)
+            q = self._rope(q, rope_pos)
             scores = ad.scale(ad.matmul(q, ad.transpose(key, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
             probs = ad.masked_softmax(scores, allow)
             ctx = ad.reshape(ad.transpose(ad.matmul(probs, val), (0, 2, 1, 3)), (b, n, h))
@@ -304,14 +295,6 @@ class ToyLM:
     def _head(self, x, w):
         """LM-head logits of hidden states x, tied to the embedding table."""
         return ad.matmul(x, ad.transpose(w("emb"), (1, 0)))
-
-    def _pos_rows(self, pos, w):
-        """Learned position-table rows for an integer array of positions."""
-        if self.frozen:
-            return ad.const(self.params["pos"][pos])
-        # a one-hot matmul keeps the full table as the leaf so its gradient has table shape
-        sel = (pos[..., None] == np.arange(self.params["pos"].shape[0])).astype(np.float64)
-        return ad.matmul(ad.const(sel), w("pos"))
 
     def loss_on_batch(self, prompt, batch):
         """Summed masked NLL plus token count for the standard next-token setup.

@@ -21,7 +21,7 @@ import numpy as np
 from .data import pad_right
 from .errors import ConfigError, NumericalError
 from .linalg import RngStream
-from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
+from .model import EOS_ID, VOCAB_WITH_SPECIALS, Batch, LMConfig, ToyLM, encode
 from .trainer import AdamWState, adamw_step, read_npz, write_npz
 from . import autodiff as ad, blas
 
@@ -41,7 +41,6 @@ EOS_DOC_FRAC = 0.35  # generic docs ending in EOS; format docs never do
 
 @dataclass
 class PretrainConfig:
-    vocab_size: int = 258
     hidden: int = 64
     layers: int = 2
     heads: int = 4
@@ -53,7 +52,6 @@ class PretrainConfig:
     # position a prompted run can reach is trained, not just the first
     # doc-length of them
     pack_len: int = 96
-    rotary: bool = True
     lr: float = 3e-3  # peak; decays linearly to a tenth after warmup
     warmup_steps: int = 200
     seed: int = 0
@@ -69,15 +67,15 @@ class PretrainConfig:
         for name in ("lr", "init_std"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        self.lm_config()  # the model's own shape checks
 
     def lm_config(self):
         return LMConfig(
-            vocab_size=self.vocab_size,
+            vocab_size=VOCAB_WITH_SPECIALS,
             hidden=self.hidden,
             layers=self.layers,
             heads=self.heads,
             max_seq=self.max_seq,
-            rotary=self.rotary,
         )
 
     def cache_key(self):
@@ -325,12 +323,21 @@ def save_base(path, pcfg, lm):
     write_npz(path, arrays)
 
 
+_REBUILD = "; rebuild it with `promptmoe pretrain-base --force`"
+
+
 def load_base(path):
-    """The frozen model and its config from a cache file; ConfigError if unreadable."""
-    arrays = read_npz(
-        path, "base model cache", "; rebuild it with `promptmoe pretrain-base --force`"
-    )
-    pcfg = PretrainConfig(**json.loads(bytes(arrays["config_json"]).decode()))
+    """The frozen model and its config from a cache file; ConfigError if unreadable.
+
+    Unreadable covers an archive without ``config_json``, a ``config_json``
+    that is not JSON, and one whose keys or values ``PretrainConfig`` rejects
+    (a cache written before a config field was removed).
+    """
+    arrays = read_npz(path, "base model cache", _REBUILD)
+    try:
+        pcfg = PretrainConfig(**json.loads(bytes(arrays["config_json"]).decode()))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"base model cache {path} holds no valid config ({e!r}){_REBUILD}") from e
     params = {
         k.removeprefix("lm."): np.asarray(v, dtype=np.float64)  # read_npz's arrays are fresh: no copy
         for k, v in arrays.items()
@@ -343,7 +350,11 @@ def ensure_base(pcfg, cache_dir=".cache", log_every=0, log_fn=print):
     """Load the cached frozen base for this config, pretraining on a miss."""
     path = base_path(pcfg, cache_dir)
     if os.path.exists(path):
-        lm, _ = load_base(path)
+        lm, cached = load_base(path)
+        if cached != pcfg:
+            raise ConfigError(
+                f"base model cache {path} was built from another config: {cached}{_REBUILD}"
+            )
         return lm, path
     lm, _ = pretrain_base(pcfg, log_every=log_every, log_fn=log_fn)
     save_base(path, pcfg, lm)

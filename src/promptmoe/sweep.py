@@ -72,10 +72,7 @@ def apply_axis(rc, axis, value):
         sel, prob = parse_routing_mode(value)
         method = dataclasses.replace(method, selective=sel, probationary=prob)
     elif axis == "base_model_size":
-        h = int(value)
-        if h % rc.base.heads != 0:
-            raise ConfigError(f"hidden {h} not divisible by {rc.base.heads} heads")
-        base = dataclasses.replace(rc.base, hidden=h)
+        base = dataclasses.replace(rc.base, hidden=int(value))
     else:
         raise ConfigError(f"unknown axis {axis!r}")
     return dataclasses.replace(rc, method=method, base=base)
@@ -118,12 +115,13 @@ def _flush(out_dir, payload):
 
 
 def run_sweep(spec, rc, seed, cache_dir=".cache", out_dir=None, log_fn=None):
+    """Train every leg in order; a leg whose config is invalid fails before the first trains."""
     say = log_fn or (lambda *_: None)
+    leg_cfgs = [apply_axis(rc, spec.axis, value) for value in spec.values]
     payload = {"axis": spec.axis, "seed": int(seed), "status": "running", "legs": []}
-    for value in spec.values:
+    for value, leg_cfg in zip(spec.values, leg_cfgs):
         say(f"sweep leg {spec.axis}={value}")
         try:
-            leg_cfg = apply_axis(rc, spec.axis, value)
             out, _, _ = run_training(leg_cfg, seed=seed, cache_dir=cache_dir, log_fn=say)
         except Exception:
             payload["status"] = f"failed at {spec.axis}={value}"

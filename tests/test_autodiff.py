@@ -407,6 +407,20 @@ def test_backward_keeps_adjoints_on_named_leaves_only():
             assert rec.grad is grads[rec.name]
 
 
+def test_backward_drops_every_rule_it_ran():
+    rng = np.random.default_rng(44)
+    x = ad.leaf(rng.normal(size=(2, 3, 4)), "x")
+    w = ad.leaf(rng.normal(size=(4, 5)), "w")
+    h = ad.gelu(ad.matmul(ad.layernorm(x, np.ones(4), np.zeros(4)), w))
+    loss, _ = ad.masked_nll(h, rng.integers(0, 5, (2, 3)), np.ones((2, 3)))
+    records = graph_records(loss)
+    assert sum(rec.vjp is not None for rec in records) >= 4
+    ad.backward(loss)
+    assert all(rec.vjp is None for rec in records)  # and with them their saved arrays
+    with pytest.raises(GraphError, match="its backward already ran"):
+        ad.backward(loss)
+
+
 def test_constant_loss_writes_nothing_into_the_shared_record():
     loss = ad.sum_all(ad.mul(ad.const(np.ones(3)), 2.0))
     assert loss.record is ad.CONST

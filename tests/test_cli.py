@@ -81,6 +81,25 @@ def test_pretrain_base_rejects_bad_base_settings_before_training(key, value, tmp
     assert not cache.exists()  # no untrained base is cached
 
 
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        ({"heads": 0}, "non-positive model dimension"),
+        ({"hidden": 18, "heads": 2}, "even head dim, got 9"),
+        ({"rotary": False}, "unknown key(s) ['rotary']"),
+        ({"vocab_size": 300}, "unknown key(s) ['vocab_size']"),
+    ],
+    ids=["zero-heads", "odd-head-dim", "rotary", "vocab_size"],
+)
+def test_bad_base_shape_or_removed_key_is_exit_2_at_load(base, message, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"base": base}))
+    cache = tmp_path / "cache"
+    assert run_cli("pretrain-base", "--config", str(path), "--cache-dir", str(cache), "--quiet") == 2
+    assert message in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_missing_config_file_is_exit_2(capsys):
     assert run_cli("train", "--seed", "1", "--config", "/nonexistent.json") == 2
     assert "config error" in capsys.readouterr().err
@@ -295,6 +314,16 @@ def test_sweep_num_experts_prints_table(tiny_config, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "num_experts" in out and "ID macro" in out
     assert (tmp_path / "sweep" / "sweep.json").exists()
+
+
+def test_sweep_with_a_bad_base_leg_exits_2_before_any_leg_trains(tiny_config, tmp_path, capsys):
+    cache, out = tmp_path / "cache", tmp_path / "sweep"
+    # the tiny base has 2 heads: width 16 is valid, 18 gives an odd head dim
+    assert run_cli("sweep", "--config", tiny_config, "--seed", "2",
+                   "--axis", "base_model_size", "--values", "16,18",
+                   "--out", str(out), "--cache-dir", str(cache), "--quiet") == 2
+    assert "even head dim, got 9" in capsys.readouterr().err
+    assert not cache.exists() and not out.exists()  # the 16 leg never pretrained or trained
 
 
 def test_inspect_routing_on_routerless_method_is_exit_2(tmp_path, capsys):

@@ -13,10 +13,19 @@ from test_autodiff import assert_adjoints_unwritten, graph_records, snapshot_adj
 
 
 def make_lm(vocab=258, hidden=16, layers=2, heads=2, max_seq=64, seed=0, frozen=True,
-            rotary=True):
+            random_params=False):
+    """A ToyLM at ``create``'s init, or with ``random_params`` every array moved at random.
+
+    ``create`` zeroes every bias and sets every layernorm gain to one, so only
+    the random variant reads those arrays with a visible effect.
+    """
     cfg = m.LMConfig(vocab_size=vocab, hidden=hidden, layers=layers, heads=heads,
-                     max_seq=max_seq, rotary=rotary)
+                     max_seq=max_seq)
     lm = m.ToyLM.create(cfg, RngStream(seed).child("lm"))
+    if random_params:
+        rng = np.random.default_rng(seed)
+        for name, a in lm.params.items():
+            lm.params[name] = a + rng.normal(scale=0.1, size=a.shape)
     if frozen:
         lm.freeze()
     return lm
@@ -218,8 +227,8 @@ def test_rotary_logits_shift_with_invisible_left_padding():
 
     Content pushed deeper by masked-out padding must score identically:
     padded keys are invisible and rotation cancels in q.k for equal
-    relative distances. The learned-position variant has no such
-    property, which is exactly why prompted runs need rotary.
+    relative distances. This is why prompted runs, whose prompt pushes the
+    input deeper than pretraining did, need rotary attention.
     """
     lm = make_lm(hidden=16, layers=2, heads=2)
     ids = np.array([[7, 3, 9, 12, 4]])
@@ -231,17 +240,13 @@ def test_rotary_logits_shift_with_invisible_left_padding():
     shifted = lm.forward_tokens(shifted_ids, attn).value[0, pad:]
     np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-10)
 
-    learned = make_lm(hidden=16, layers=2, heads=2, rotary=False)
-    base_l = learned.forward_tokens(ids, np.ones((1, 5))).value[0]
-    shifted_l = learned.forward_tokens(shifted_ids, attn).value[0, pad:]
-    assert np.abs(shifted_l - base_l).max() > 1e-3
 
-
-def test_rotary_flag_controls_position_table():
+def test_no_position_table_and_odd_head_dim_rejected():
     assert "pos" not in make_lm().params
-    assert "pos" in make_lm(rotary=False).params
     with pytest.raises(ConfigError, match="even head dim"):
-        m.LMConfig(hidden=6, heads=2, rotary=True)
+        m.LMConfig(hidden=6, heads=2)
+    with pytest.raises(ConfigError, match="non-positive"):
+        m.LMConfig(heads=0)  # checked before hidden % heads
 
 
 def test_end_to_end_prompt_gradcheck():
@@ -261,54 +266,17 @@ def test_end_to_end_prompt_gradcheck():
 
 
 def test_pretraining_path_gradcheck_on_lm_params():
-    # learned-position variant, so the position table's gradient is covered
-    lm = make_lm(vocab=12, hidden=8, layers=1, heads=2, frozen=False, rotary=False)
-    ids = np.array([[1, 2, 3, 4]])
-    attn = np.ones((1, 4))
-    batch = m.Batch(ids, attn, np.array([[0.0, 1.0, 1.0, 1.0]]))
+    # the embedding (looked up and tied to the head) and the rotated q and k
+    lm = make_lm(vocab=12, hidden=8, layers=1, heads=2, frozen=False, random_params=True)
+    batch = simple_batch([[1, 2, 3, 4], [5, 6, 7, 0]], attn=[[1, 1, 1, 1], [1, 1, 1, 0]])
+    checked = ("emb", "l0.wq", "l0.wk")
 
     def f(v):
-        lm2 = m.ToyLM(lm.cfg, {k: v[k] for k in v}, frozen=False)
-        logits = lm2.forward_tokens(batch.token_ids, batch.attn_mask)
-        targets = np.zeros((1, 4), dtype=np.int64)
-        mask = np.zeros((1, 4))
-        targets[:, :3] = batch.token_ids[:, 1:]
-        mask[:, :3] = batch.loss_mask[:, 1:]
-        loss, count = ad.masked_nll(logits, targets, mask)
+        params = {**lm.params, **{name.removeprefix("lm."): a for name, a in v.items()}}
+        loss, count, _ = m.ToyLM(lm.cfg, params, frozen=False).loss_on_tokens(batch)
         return ad.scale(loss, 1.0 / count)
 
-    params = {k: a.copy() for k, a in lm.params.items()}
-    names = {k: f"lm.{k}" for k in params}
-
-    # finite_diff_check keys the leaves by dict key, so rename through a shim
-    def g(v):
-        lm2 = m.ToyLM(lm.cfg, v, frozen=False)
-        logits = lm2.forward_tokens(batch.token_ids, batch.attn_mask)
-        targets = np.zeros((1, 4), dtype=np.int64)
-        mask = np.zeros((1, 4))
-        targets[:, :3] = batch.token_ids[:, 1:]
-        mask[:, :3] = batch.loss_mask[:, 1:]
-        loss, count = ad.masked_nll(logits, targets, mask)
-        return ad.scale(loss, 1.0 / count)
-
-    grads = ad.backward(g(params))
-    assert "lm.emb" in grads and "lm.pos" in grads
-    # spot-check the embedding gradient against finite differences
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    emb = params["emb"]
-    for _ in range(40):
-        i = rng.integers(0, emb.shape[0])
-        j = rng.integers(0, emb.shape[1])
-        bumped = {k: a.copy() for k, a in params.items()}
-        bumped["emb"][i, j] += 1e-6
-        up = g(bumped).value
-        bumped["emb"][i, j] -= 2e-6
-        dn = g(bumped).value
-        fd = (up - dn) / 2e-6
-        gad = grads["lm.emb"][i, j]
-        worst = max(worst, abs(gad - fd) / max(1e-12, abs(gad) + abs(fd)))
-    assert worst <= 1e-5
+    assert ad.finite_diff_check(f, {f"lm.{name}": lm.params[name] for name in checked}) <= 1e-5
 
 
 def full_prefix_generate(lm, prompt, token_ids, attn_mask, max_new, eos_id=m.EOS_ID):
@@ -411,11 +379,41 @@ def test_cached_generate_matches_full_prefix_oracle(k, max_new, first_eos):
             np.testing.assert_allclose(calls[j].value[e, 0], expect, rtol=0, atol=1e-12)
 
 
-def test_cached_generate_learned_positions_match_oracle():
-    lm = make_lm(rotary=False, seed=4)
+def test_cached_generate_slots_hold_full_forward_keys_and_values(monkeypatch):
+    lm = make_lm(hidden=32, heads=4, seed=4, random_params=True)
+    k, max_new = 3, 5
     attn = (RAGGED_IDS != m.PAD_ID).astype(float)
-    want, _ = full_prefix_generate(lm, None, RAGGED_IDS, attn, 5)
-    assert lm.generate(None, RAGGED_IDS, attn, 5) == want
+    prompt = np.random.default_rng(4).normal(size=(len(RAGGED_IDS), k, lm.cfg.hidden))
+    out, _, cache = generate_with_prefill_chunk(
+        lm, monkeypatch, m.PREFILL_POSITIONS, prompt, RAGGED_IDS, attn, max_new
+    )
+    # every token but the last generated one was fed back, at its own slot
+    seqs = [[*ids[ids != m.PAD_ID], *toks[:-1]] for ids, toks in zip(RAGGED_IDS, out)]
+    lengths = np.array([k + len(seq) for seq in seqs])
+    ids = np.full((len(seqs), max(map(len, seqs))), m.PAD_ID)
+    for e, seq in enumerate(seqs):
+        ids[e, : len(seq)] = seq
+    # an uncached forward's rotated keys and its values, as attention reads them
+    operands = []
+
+    def spy(a, b):
+        if a.value.ndim == 4:  # q @ k^T, then probs @ v
+            operands.append(b.value)
+        return matmul(a, b)
+
+    matmul = ad.matmul
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "matmul", spy)
+        lm.forward(prompt, lm.embed(ids), (ids != m.PAD_ID).astype(float))
+    assert cache.valid.shape[1] == k + RAGGED_IDS.shape[1] + max_new - 1 == lengths.max()
+    assert np.array_equal(cache.valid, np.arange(cache.valid.shape[1]) < lengths[:, None])
+    assert np.array_equal(cache.next_pos, lengths)
+    for layer in range(lm.cfg.layers):
+        keys = operands[2 * layer].swapaxes(-1, -2)
+        values = operands[2 * layer + 1]
+        for e, n in enumerate(lengths):
+            np.testing.assert_allclose(cache.keys[layer][e, :, :n], keys[e, :, :n], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache.values[layer][e, :, :n], values[e, :, :n], rtol=0, atol=1e-12)
 
 
 def test_inference_records_no_graph():
@@ -465,10 +463,10 @@ def generate_with_prefill_chunk(lm, monkeypatch, positions, prompt, ids, attn, m
     return out, calls, cache
 
 
-@pytest.mark.parametrize("rotary", [True, False])
+@pytest.mark.parametrize("random_params", [True, False])
 @pytest.mark.parametrize("k", [0, 3])
-def test_pruned_prefill_matches_unpruned_rows_and_cache(rotary, k, monkeypatch):
-    lm = make_lm(hidden=32, heads=4, seed=6, rotary=rotary)
+def test_pruned_prefill_matches_unpruned_rows_and_cache(random_params, k, monkeypatch):
+    lm = make_lm(hidden=32, heads=4, seed=6, random_params=random_params)
     ids = RAGGED_IDS
     attn = (ids != m.PAD_ID).astype(float)
     prompt = np.random.default_rng(3).normal(size=(len(ids), k, 32)) if k else None
@@ -548,16 +546,15 @@ LOSS_MASKS = [
 ]
 
 
-def assert_rel_close(got, want, what, scale=None):
-    scale = np.max(np.abs(want)) if scale is None else scale
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale, what
+def assert_rel_close(got, want, what):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), what
 
 
 @pytest.mark.parametrize("kind", mt.KINDS)
-@pytest.mark.parametrize("rotary", [True, False])
+@pytest.mark.parametrize("random_params", [True, False])
 @pytest.mark.parametrize("frozen", [True, False])
-def test_pruned_loss_matches_full_row_oracle(kind, rotary, frozen):
-    lm = make_lm(hidden=16, heads=2, seed=8, rotary=rotary, frozen=frozen)
+def test_pruned_loss_matches_full_row_oracle(kind, random_params, frozen):
+    lm = make_lm(hidden=16, heads=2, seed=8, random_params=random_params, frozen=frozen)
     cfg = mt.MethodConfig(
         kind=kind, prompt_length=4, num_experts=2, rank=3, init_text="a b 1\n", router_w_std=1.0
     )
@@ -588,14 +585,7 @@ def test_pruned_loss_matches_full_row_oracle(kind, rotary, frozen):
         assert set(grads) == set(want_grads)
         assert any(name.startswith("lm.") for name in grads) == (not frozen)
         for name, g in want_grads.items():
-            if name.endswith(".bk") and not rotary:
-                # zero in exact arithmetic: an unrotated key bias moves all of a
-                # query's scores alike, which softmax ignores; both are roundoff
-                scale = np.max(np.abs(want_grads[name[:-2] + "wk"]))
-                assert np.max(np.abs(want_grads[name])) <= 1e-12 * scale, name
-                assert_rel_close(grads[name], g, name, scale=scale)
-            else:
-                assert_rel_close(grads[name], g, name)
+            assert_rel_close(grads[name], g, name)
 
 
 @pytest.mark.parametrize("frozen", [True, False])

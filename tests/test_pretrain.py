@@ -8,8 +8,10 @@ answer.
 
 import concurrent.futures
 import dataclasses
+import json
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ import pytest
 from promptmoe import autodiff as ad
 from promptmoe import pretrain as pt
 from promptmoe.data import EOS_ID, PAD_ID
-from promptmoe.errors import NumericalError
+from promptmoe.errors import ConfigError, NumericalError
 from promptmoe.linalg import RngStream
 from promptmoe.model import ToyLM
+from promptmoe.trainer import write_npz
 from test_autodiff import traced_peak
 
 DOCS = pt.gen_docs(2000, seed=0)
@@ -167,6 +170,45 @@ def test_ensure_base_caches(tmp_path):
     second, path2 = pt.ensure_base(pcfg, cache_dir=str(tmp_path))
     assert path1 == path2
     assert first.param_hash() == second.param_hash()
+
+
+REPO_CACHE = Path(__file__).resolve().parents[1] / ".cache"
+
+
+def test_committed_cache_holds_the_default_base():
+    pcfg = pt.PretrainConfig()
+    lm, cached = pt.load_base(pt.base_path(pcfg, str(REPO_CACHE)))
+    assert cached == pcfg
+    assert lm.param_hash().startswith("e051cce8")
+
+
+def write_base(path, config_json=None, **arrays):
+    if config_json is not None:
+        arrays["config_json"] = np.frombuffer(config_json.encode(), dtype=np.uint8)
+    write_npz(str(path), {"lm.emb": np.zeros((2, 2)), **arrays})
+
+
+@pytest.mark.parametrize(
+    "config_json",
+    [None, "{not json", json.dumps({**dataclasses.asdict(pt.PretrainConfig()), "rotary": True})],
+    ids=["no-config", "not-json", "removed-key"],
+)
+def test_unreadable_base_config_is_a_config_error(config_json, tmp_path):
+    path = tmp_path / "base.npz"
+    write_base(path, config_json)
+    with pytest.raises(ConfigError, match=r"pretrain-base --force") as err:
+        pt.load_base(str(path))
+    assert str(path) in str(err.value)
+
+
+def test_ensure_base_rejects_a_cache_built_from_another_config(tmp_path):
+    pcfg = dataclasses.replace(TINY, steps=1)
+    other = dataclasses.replace(pcfg, seed=1)
+    path = pt.base_path(pcfg, str(tmp_path))
+    pt.save_base(path, other, ToyLM.create(other.lm_config(), RngStream(0)))
+    with pytest.raises(ConfigError, match="another config") as err:
+        pt.ensure_base(pcfg, cache_dir=str(tmp_path))
+    assert path in str(err.value)
 
 
 def test_step_graph_is_freed_before_the_next_forward():

@@ -123,16 +123,26 @@ def test_run_sweep_flushes_each_leg(tmp_path):
 
 
 def test_failed_leg_keeps_partial_results(tmp_path):
-    rc = tiny_rc(kind="SMOP")
-    # second leg: 8 slots cannot split over 5 experts -> build-time error
-    spec = sw.SweepSpec("num_experts", [2, 5])
-    with pytest.raises(ConfigError):
+    rc = tiny_rc()
+    # second leg: a valid config whose budget fits no rank-1 bank -> build-time error
+    spec = sw.SweepSpec("params_budget", [162, 1])
+    with pytest.raises(ConfigError, match="too small for rank 1"):
         sw.run_sweep(spec, rc, seed=5, cache_dir=str(tmp_path / "cache"),
                      out_dir=str(tmp_path / "out"))
     on_disk = json.loads((tmp_path / "out" / "sweep.json").read_text())
-    assert on_disk["status"] == "failed at num_experts=5"
+    assert on_disk["status"] == "failed at params_budget=1"
     assert len(on_disk["legs"]) == 1
-    assert on_disk["legs"][0]["value"] == 2
+    assert on_disk["legs"][0]["value"] == 162
+
+
+def test_invalid_leg_config_fails_before_any_leg_runs(tmp_path):
+    rc = tiny_rc(kind="SMOP")
+    # second leg: 8 slots cannot split over 5 experts -> config error
+    spec = sw.SweepSpec("num_experts", [2, 5])
+    with pytest.raises(ConfigError, match="divisible"):
+        sw.run_sweep(spec, rc, seed=5, cache_dir=str(tmp_path / "cache"),
+                     out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "cache").exists() and not (tmp_path / "out").exists()
 
 
 def test_format_table_lines_up():
