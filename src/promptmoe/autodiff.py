@@ -289,20 +289,7 @@ def take_rows(x, idx):
 
 
 def softmax(a):
-    a = as_node(a)
-    s = _softmax_last(a.value)
-
-    def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
-
-    return Node(s, (a,), vjp)
-
-
-def _softmax_last(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    return masked_softmax(a, True)
 
 
 def masked_softmax(a, valid):

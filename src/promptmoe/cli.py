@@ -5,6 +5,7 @@ Progress goes to stderr; machine-readable results go to stdout.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -53,7 +54,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="JSONL dataset; defaults to the config test splits")
     p.add_argument("--routing-log", help="write per-example routing decisions here")
-    p.add_argument("--raw-match", action="store_true", help="disable answer normalization")
 
     p = sub.add_parser("sweep", help="vary one axis, train each value")
     _add_common(p)
@@ -99,29 +99,24 @@ def cmd_train(args):
     return 0
 
 
-def _provider_for(args, rc):
-    return runner.load_provider(rc, args.checkpoint, cache_dir=args.cache_dir)
-
-
 def cmd_eval(args):
     rc = _load_config(args.config)
-    provider, lm, _, _, _ = _provider_for(args, rc)
-    kw = dict(
-        batch_size=rc.eval.batch_size,
-        max_new=rc.eval.max_new or None,
-        raw=args.raw_match or rc.eval.raw_match,
-    )
-    if args.data:
-        examples = dt.load_jsonl(args.data)
-        rep = ev.eval_dataset(provider, lm, examples, routing_log=args.routing_log, **kw)
-        tasks = sorted({ex.task for ex in examples})
-        rep["aggregate"] = ev.aggregate(rep, tasks)
-        print(json.dumps(rep, indent=2))
-        return 0
-    _, test_id, test_ood = runner.build_datasets(rc.data)
-    rep = ev.split_report(
-        provider, lm, test_id, test_ood, routing_log=args.routing_log, **kw
-    )
+    provider, lm, _, _, _ = runner.load_provider(rc, args.checkpoint, cache_dir=args.cache_dir)
+    examples = dt.load_jsonl(args.data) if args.data else None
+    log_file = open(args.routing_log, "w", encoding="utf-8") if args.routing_log else None
+    with log_file or contextlib.nullcontext() as log:
+        kw = dict(
+            batch_size=rc.eval.batch_size,
+            max_new=rc.eval.max_new or None,
+            raw=rc.eval.raw_match,
+            routing_log=log,
+        )
+        if examples is not None:
+            rep = ev.eval_dataset(provider, lm, examples, **kw)
+            rep["aggregate"] = ev.aggregate(rep, sorted({ex.task for ex in examples}))
+        else:
+            _, test_id, test_ood = runner.build_datasets(rc.data)
+            rep = ev.split_report(provider, lm, test_id, test_ood, **kw)
     print(json.dumps(rep, indent=2))
     return 0
 
@@ -140,7 +135,7 @@ def cmd_sweep(args):
 
 def cmd_inspect_routing(args):
     rc = _load_config(args.config)
-    provider, lm, _, _, _ = _provider_for(args, rc)
+    provider, lm, _, _, _ = runner.load_provider(rc, args.checkpoint, cache_dir=args.cache_dir)
     if provider.router_w is None:
         raise ConfigError(f"{provider.cfg.kind} has no router to inspect")
     if args.data:

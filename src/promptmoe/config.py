@@ -65,6 +65,11 @@ class RunConfig:
     data: DataConfig
     eval: EvalConfig
 
+    def __post_init__(self):
+        # a budget too small for rank 1, or a rank above the base width,
+        # fails here, before any base is read or any sweep leg trains
+        self.method.resolve_rank(self.base.hidden)
+
 
 _SECTIONS = {
     "method": MethodConfig,

@@ -29,8 +29,9 @@ class Example:
     id: str
 
 
-def _span(rng, n_words):
-    return " ".join(LETTERS[i] for i in rng.integers(0, 26, n_words))
+def rand_span(rng, lo=3, hi=6):
+    """lo..hi-1 random lowercase letters joined by spaces; draws the length first."""
+    return " ".join(LETTERS[i] for i in rng.integers(0, 26, int(rng.integers(lo, hi))))
 
 
 def gen_synthetic(task, count, seed):
@@ -43,7 +44,7 @@ def gen_synthetic(task, count, seed):
     for i in range(count):
         rng = RngStream(seed).child("data", task, i).generator()
         if task in ("copy_span", "reverse"):
-            span = _span(rng, int(rng.integers(3, 6)))
+            span = rand_span(rng)
             if task == "copy_span":
                 ex = Example(f"copy: {span}", span, task, f"{task}-{seed}-{i}")
             else:

@@ -76,7 +76,9 @@ def eval_dataset(
     its batch; a fixed ``max_new`` makes predictions independent of
     batching. ``expert_counts`` counts the examples that kept each expert,
     ``expert_load`` sums each expert's routing weight over the examples, and
-    ``expert_task_counts`` tallies ``Routing.primary`` per task.
+    ``expert_task_counts`` tallies ``Routing.primary`` per task. With a
+    router, ``routing_log`` (an open text stream) gets one JSON line per
+    scored example.
     """
     routed = provider.router_w is not None
     expert_counts = np.zeros(provider.stack.shape[0], dtype=np.int64) if routed else None
@@ -95,53 +97,48 @@ def eval_dataset(
 
     per_task = {}
     records = []
-    log_handle = open(routing_log, "w", encoding="utf-8") if routing_log else None
-    try:
-        for items in _batches(kept, batch_size, k, lm.cfg.max_seq):
-            chunk = [ex for ex, _, _ in items]
-            batch = dt.build_input_batch(chunk)
-            prompt_node, routing = provider.prompt_node(lm, batch, training=False)
-            budget = max(n_new for _, _, n_new in items)
-            preds = lm.generate(prompt_node.value, batch.token_ids, batch.attn_mask, budget)
-            if routing is not None:
-                expert_counts += routing.mask.sum(axis=0).astype(np.int64)
-                expert_load += routing.weights.sum(axis=0)
-                routing.tally_primary(batch.tasks, expert_task)
-                if log_handle is not None:
-                    for ex, mask, weights, soft in zip(
-                        chunk, routing.mask, routing.weights, routing.soft
-                    ):
-                        log_handle.write(
-                            json.dumps(
-                                {
-                                    "id": ex.id,
-                                    "task": ex.task,
-                                    "selected": np.flatnonzero(mask).tolist(),
-                                    "weights": weights.tolist(),
-                                    "soft": soft.tolist(),
-                                }
-                            )
-                            + "\n"
+    for items in _batches(kept, batch_size, k, lm.cfg.max_seq):
+        chunk = [ex for ex, _, _ in items]
+        batch = dt.build_input_batch(chunk)
+        prompt_node, routing = provider.prompt_node(lm, batch, training=False)
+        budget = max(n_new for _, _, n_new in items)
+        preds = lm.generate(prompt_node.value, batch.token_ids, batch.attn_mask, budget)
+        if routing is not None:
+            expert_counts += routing.mask.sum(axis=0).astype(np.int64)
+            expert_load += routing.weights.sum(axis=0)
+            routing.tally_primary(batch.tasks, expert_task)
+            if routing_log is not None:
+                for ex, mask, weights, soft in zip(
+                    chunk, routing.mask, routing.weights, routing.soft
+                ):
+                    routing_log.write(
+                        json.dumps(
+                            {
+                                "id": ex.id,
+                                "task": ex.task,
+                                "selected": np.flatnonzero(mask).tolist(),
+                                "weights": weights.tolist(),
+                                "soft": soft.tolist(),
+                            }
                         )
-            for ex, pred_ids in zip(chunk, preds):
-                pred = decode(pred_ids)
-                rec = score_example(pred, ex.target, ex.task, raw=raw)
-                slot = per_task.setdefault(
-                    ex.task,
-                    {"count": 0, "em": 0.0, "f1": 0.0, "math_accuracy": 0.0,
-                     "format_failures": 0, "primary": 0.0},
-                )
-                slot["count"] += 1
-                slot["em"] += rec["em"]
-                slot["f1"] += rec["f1"]
-                slot["math_accuracy"] += rec.get("math_accuracy", 0.0)
-                slot["format_failures"] += int(rec["format_failure"])
-                slot["primary"] += rec["primary"]
-                if keep_records:
-                    records.append({"id": ex.id, "task": ex.task, "pred": pred, **rec})
-    finally:
-        if log_handle is not None:
-            log_handle.close()
+                        + "\n"
+                    )
+        for ex, pred_ids in zip(chunk, preds):
+            pred = decode(pred_ids)
+            rec = score_example(pred, ex.target, ex.task, raw=raw)
+            slot = per_task.setdefault(
+                ex.task,
+                {"count": 0, "em": 0.0, "f1": 0.0, "math_accuracy": 0.0,
+                 "format_failures": 0, "primary": 0.0},
+            )
+            slot["count"] += 1
+            slot["em"] += rec["em"]
+            slot["f1"] += rec["f1"]
+            slot["math_accuracy"] += rec.get("math_accuracy", 0.0)
+            slot["format_failures"] += int(rec["format_failure"])
+            slot["primary"] += rec["primary"]
+            if keep_records:
+                records.append({"id": ex.id, "task": ex.task, "pred": pred, **rec})
 
     for task, slot in per_task.items():
         c = slot["count"]
@@ -186,7 +183,6 @@ def split_report(provider, lm, id_examples, ood_examples, **kw):
     id_tasks = sorted({ex.task for ex in id_examples})
     ood_tasks = sorted({ex.task for ex in ood_examples})
     rep_id = eval_dataset(provider, lm, id_examples, **kw)
-    kw.pop("routing_log", None)
     rep_ood = eval_dataset(provider, lm, ood_examples, **kw)
     return {
         "in_domain": {**rep_id, "aggregate": aggregate(rep_id, id_tasks)},

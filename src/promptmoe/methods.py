@@ -11,7 +11,10 @@ Each other method is PT-MoE with parts switched off:
 
 A provider owns its trainable arrays (the trainer updates them in place),
 and computes the per-example prompt node for a batch, returning the
-batch's routing record where a router exists.
+batch's routing record where a router exists. The decomposed methods start
+from a truncated SVD of the initialization text's embeddings, so every
+expert starts from the same task-relevant subspace and experts
+differentiate only through routing.
 """
 
 from dataclasses import dataclass
@@ -20,10 +23,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as lm_mod
-from . import prompt_bank as pb
 from . import router as rt
 from .errors import ConfigError
-from .linalg import mean_rows
+from .linalg import mean_rows, truncated_svd
 
 KINDS = ("PT", "DPT", "SMOP", "PT_MOE")
 ROUTED_KINDS = ("SMOP", "PT_MOE")
@@ -36,7 +38,7 @@ class MethodConfig:
     kind: str = "PT_MOE"
     prompt_length: int = 40
     num_experts: int = 2
-    rank: object = "auto"  # int, or "auto": the largest rank within the budget
+    rank: object = "auto"  # int, or "auto": the largest rank within the budget, at most min(t, h)
     budget: int = 0  # 0 = the kind's reference budget scaled to the base width
     sigma: float = 0.01
     k: int = 1
@@ -82,10 +84,15 @@ class MethodConfig:
             if self.rank > h:
                 raise ConfigError(f"rank {self.rank} exceeds the base width {h}")
             return self.rank
-        return pb.auto_rank(
-            self.budget or scaled_budget(self.kind, h), self.num_experts, self.prompt_length, h,
-            routed=self.kind in ROUTED_KINDS,
-        )
+        # the count is linear in r: fixed cost plus per-rank cost times r
+        t, n = self.prompt_length, self.num_experts
+        fixed = expected_param_count(self.kind, t, n, 0, h)
+        per_rank = expected_param_count(self.kind, t, n, 1, h) - fixed
+        budget = self.budget or scaled_budget(self.kind, h)
+        r = (budget - fixed) // per_rank
+        if r < 1:
+            raise ConfigError(f"budget {budget} too small for rank 1 (needs {fixed + per_rank})")
+        return min(r, t, h)  # the SVD of the t x h init text has no higher rank
 
 
 def init_text_embeddings(lm, text, t):
@@ -99,6 +106,23 @@ def init_text_embeddings(lm, text, t):
         raise ConfigError("initialization text is empty after tokenization")
     cycled = [ids[i % len(ids)] for i in range(t)]
     return lm.embed(np.array([cycled]))[0]
+
+
+def init_from_embeddings(e, n, r):
+    """(a, b_shared) from the t x h embedding matrix of the initialization text.
+
+    With e = u s v^T, every expert factor starts as u[:, :r] * sqrt(s) and
+    the shared projection as sqrt(s) * v[:r]; their product is the best
+    rank-r approximation of e. sqrt(0) stays exactly 0.
+    """
+    e = np.asarray(e, dtype=np.float64)
+    if n < 1:
+        raise ConfigError(f"expert count must be >= 1, got {n}")
+    u, s, vt = truncated_svd(e, r)
+    root = np.sqrt(s)
+    a_one = u * root[None, :]
+    b_shared = root[:, None] * vt
+    return np.repeat(a_one[None, :, :], n, axis=0), b_shared
 
 
 class Provider:
@@ -162,7 +186,7 @@ def build(cfg, lm, rng):
     if cfg.kind in ("PT", "SMOP"):
         stack = np.array(e.reshape(n, t // n, h))  # SMOP: n consecutive spans of t/n rows
     else:
-        stack, proj = pb.init_from_embeddings(e, n=n, r=cfg.resolve_rank(h))
+        stack, proj = init_from_embeddings(e, n=n, r=cfg.resolve_rank(h))
     if cfg.kind in ROUTED_KINDS:
         w, b = rt.init_router(n, h, rng.child("router"), w_std=cfg.router_w_std)
     return Provider(cfg, stack, proj, w, b)
@@ -212,5 +236,5 @@ def budget_table(h):
         cfg = MethodConfig(kind=kind)
         r = cfg.resolve_rank(h)
         count = expected_param_count(kind, cfg.prompt_length, cfg.num_experts, r or 0, h)
-        rows.append((kind, count, pb.format_k(count), target, (count - target) / target))
+        rows.append((kind, count, f"{count // 1000}k", target, (count - target) / target))
     return rows

@@ -18,14 +18,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import pad_right
+from .data import ANSWER_PREFIX, LETTERS, SEPARATOR, pad_right, rand_span
 from .errors import ConfigError, NumericalError
 from .linalg import RngStream
 from .model import EOS_ID, VOCAB_WITH_SPECIALS, Batch, LMConfig, ToyLM, encode
 from .trainer import AdamWState, adamw_step, read_npz, write_npz
 from . import autodiff as ad, blas
 
-LETTERS = "abcdefghijklmnopqrstuvwxyz"
 TASK_MARKERS = ("copy", "reverse")  # reserved for answer-less format docs
 DOC_MIX = (
     ("repeat", 0.24),
@@ -92,10 +91,6 @@ def _rand_word(rng, lo=2, hi=6, capital_frac=0.0):
     return w
 
 
-def _rand_span(rng, lo=3, hi=6):
-    return " ".join(LETTERS[i] for i in rng.integers(0, 26, int(rng.integers(lo, hi))))
-
-
 # ": " is weighted up because it is the separator the downstream answer
 # scaffold uses; "=" stays as the redundant short form
 _FACT_SEPS = ("=", ": ", ": ")
@@ -107,11 +102,11 @@ def make_doc(kind, rng):
         # junk marker, then a span that repeats after the newline; the
         # generic shape behind span-echo behavior. Marker separator varies
         # so ": " is not welded to letters-follow statistics.
-        span = _rand_span(rng)
+        span = rand_span(rng)
         sep = ": " if rng.random() < 0.5 else "~ "
         return f"{_rand_word(rng)}{sep}{span}\n{span}", True
     if kind == "reverse":
-        span = _rand_span(rng)
+        span = rand_span(rng)
         rev = " ".join(reversed(span.split()))
         sep = ": " if rng.random() < 0.5 else "~ "
         return f"{_rand_word(rng)}{sep}{span}\n{rev}", True
@@ -129,13 +124,11 @@ def make_doc(kind, rng):
         # forms keep their constant response scaffold, truncated before the
         # answer, so no input->answer pairing ever appears
         roll = int(rng.integers(0, 4))
-        if roll == 0:
-            return f"{int(rng.integers(0, 10))}+{int(rng.integers(0, 10))} (mod 10)\nThe answer is: ", False
-        if roll == 1:
-            return f"{int(rng.integers(0, 10))}*{int(rng.integers(0, 10))} (mod 10)\nThe answer is: ", False
-        if roll == 2:
-            return f"copy: {_rand_span(rng)}\n", False
-        return f"reverse: {_rand_span(rng)}\n", False
+        if roll < 2:
+            op = "+" if roll == 0 else "*"
+            x, y = int(rng.integers(0, 10)), int(rng.integers(0, 10))
+            return f"{x}{op}{y} (mod 10){SEPARATOR}{ANSWER_PREFIX}", False
+        return f"{TASK_MARKERS[roll - 2]}: {rand_span(rng)}{SEPARATOR}", False
     if kind == "words":
         n = int(rng.integers(3, 8))
         return " ".join(_rand_word(rng, capital_frac=0.3) for _ in range(n)), True

@@ -58,7 +58,7 @@ def run_training(rc, seed=None, cache_dir=".cache", out_dir=None, log_fn=None):
     t0 = time.time()
     result = tr.train(provider, lm, cfg, batch_fn, metrics_path=metrics_path)
     train_seconds = time.time() - t0
-    say(f"trained {result.steps_done} steps in {train_seconds:.1f}s")
+    say(f"trained {cfg.steps} steps in {train_seconds:.1f}s")
 
     losses = [m["loss"] for m in result.metrics]
     initial = losses[0]
@@ -76,19 +76,21 @@ def run_training(rc, seed=None, cache_dir=".cache", out_dir=None, log_fn=None):
     out = {
         "method": rc.method.kind,
         "seed": cfg.seed,
-        "steps": result.steps_done,
+        "steps": cfg.steps,
         "param_count": provider.param_count(),
         "initial_loss": initial,
         "final_loss": final,
         "loss_reduction": 1.0 - final / initial if initial else 0.0,
         "report": report,
         "losses": losses,
-        "expert_totals": result.expert_totals.tolist(),
+        # exact: the per-step counts are small integers
+        "expert_totals": np.sum(
+            [m["expert_counts"] for m in result.metrics], axis=0, dtype=np.float64
+        ).tolist(),
     }
     if out_dir:
         tr.save_checkpoint(
-            os.path.join(out_dir, "checkpoint.npz"), provider, result.state,
-            result.steps_done, cfg,
+            os.path.join(out_dir, "checkpoint.npz"), provider, result.state, cfg.steps, cfg,
         )
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
             json.dump({**out, "train_seconds": train_seconds}, f, indent=2)

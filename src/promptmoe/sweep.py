@@ -19,6 +19,13 @@ AXES = ("prompt_length", "num_experts", "params_budget", "routing_mode", "base_m
 ROUTING_MODES = ("S+P", "NS+P", "S+NP", "NS+NP")
 PROMPT_LENGTH_RANGE = (20, 80)
 NUM_EXPERTS_RANGE = (1, 8)
+# axes whose legs would all train the same run: PT and DPT have no router or
+# experts, PT and SMoP no rank for a budget to set
+IGNORED_AXES = {
+    "PT": ("routing_mode", "num_experts", "params_budget"),
+    "DPT": ("routing_mode", "num_experts"),
+    "SMOP": ("params_budget",),
+}
 
 
 def parse_routing_mode(label):
@@ -62,6 +69,10 @@ class SweepSpec:
 def apply_axis(rc, axis, value):
     """A new RunConfig with one knob moved; validation reruns on replace."""
     method, base = rc.method, rc.base
+    if axis in IGNORED_AXES.get(method.kind, ()):
+        raise ConfigError(
+            f"{method.kind} ignores the {axis} axis; every leg would train the same run"
+        )
     if axis == "prompt_length":
         method = dataclasses.replace(method, prompt_length=int(value))
     elif axis == "num_experts":

@@ -107,8 +107,6 @@ def adamw_step(params, grads, state, lr):
 class TrainResult:
     metrics: list
     state: AdamWState
-    steps_done: int
-    expert_totals: np.ndarray
 
 
 def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=None):
@@ -125,7 +123,6 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
     root = RngStream(cfg.seed)
     base_hash = lm.param_hash()
     n_experts = provider.stack.shape[0]
-    expert_totals = np.zeros(n_experts)
 
     metrics = []
     sink = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
@@ -151,7 +148,6 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
             grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in accum.values())))
             lr = lr_at(step, cfg)
             adamw_step(params, accum, state, lr)
-            expert_totals += step_counts
             record = {
                 "step": step,
                 "lr": lr,
@@ -169,7 +165,7 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
             sink.close()
     if lm.param_hash() != base_hash:
         raise NumericalError("frozen base model changed during training")
-    return TrainResult(metrics, state, cfg.steps, expert_totals)
+    return TrainResult(metrics, state)
 
 
 def _accumulate_micro_batch(provider, lm, batch, noise_rng, accum, step):

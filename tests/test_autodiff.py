@@ -576,6 +576,13 @@ def oracle_masked_softmax_vjp(s, g):
     return s * (g - dot)
 
 
+def _softmax_last(x):
+    """The unmasked softmax ``ad.softmax`` had before it became ``masked_softmax(a, True)``."""
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def op_inputs(seed):
     """Random inputs with outliers, and a non-contiguous view of them."""
     rng = np.random.default_rng(seed)
@@ -619,6 +626,19 @@ def test_masked_softmax_vjp_matches_pre_change_oracle():
         node = ad.masked_softmax(ad.leaf(x, "x"), valid)
         g = rng.normal(size=x.shape)
         assert np.array_equal(node.vjp(g)[0], oracle_masked_softmax_vjp(node.value, g))
+
+
+def test_softmax_matches_pre_change_oracle():
+    # its VJP was the formula of oracle_masked_softmax_vjp
+    rng = np.random.default_rng(37)
+    for scale in (1e-3, 1.0, 8.0, 50.0):
+        for _ in range(50):
+            shape = (int(rng.integers(1, 65)), int(rng.integers(1, 9)))
+            x = rng.normal(size=shape) * scale
+            g = rng.normal(size=shape)
+            node = ad.softmax(ad.leaf(x, "x"))
+            assert np.array_equal(node.value, _softmax_last(x))
+            assert np.array_equal(node.vjp(g)[0], oracle_masked_softmax_vjp(_softmax_last(x), g))
 
 
 def test_ops_write_into_no_input_and_no_adjoint():

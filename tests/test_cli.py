@@ -9,6 +9,7 @@ import pytest
 from promptmoe import cli
 from promptmoe import config as cf
 from promptmoe import data as dt
+from promptmoe import runner as rn
 from promptmoe.pretrain import PretrainConfig
 
 
@@ -128,10 +129,15 @@ def test_train_then_eval_and_inspect(tiny_config, tmp_path, capsys):
     assert "losses" not in result  # stdout stays skimmable
 
     ckpt = str(tmp_path / "run" / "checkpoint.npz")
+    log = tmp_path / "routing.jsonl"
     assert run_cli("eval", "--config", tiny_config, "--checkpoint", ckpt,
-                   "--cache-dir", cache, "--quiet") == 0
+                   "--cache-dir", cache, "--routing-log", str(log), "--quiet") == 0
     rep = json.loads(capsys.readouterr().out)
     assert set(rep) == {"in_domain", "out_of_domain"}
+    # the routing log covers both splits: one line per ID and OOD example
+    _, test_id, test_ood = rn.build_datasets(cf.load(tiny_config).data)
+    rows = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [row["id"] for row in rows] == [ex.id for ex in test_id + test_ood]
 
     assert run_cli("inspect-routing", "--config", tiny_config, "--checkpoint", ckpt,
                    "--cache-dir", cache, "--limit", "3") == 0
@@ -324,6 +330,33 @@ def test_sweep_with_a_bad_base_leg_exits_2_before_any_leg_trains(tiny_config, tm
                    "--out", str(out), "--cache-dir", str(cache), "--quiet") == 2
     assert "even head dim, got 9" in capsys.readouterr().err
     assert not cache.exists() and not out.exists()  # the 16 leg never pretrained or trained
+
+
+@pytest.mark.parametrize(
+    "kind, axis, values",
+    [
+        ("PT", "routing_mode", None),
+        ("PT", "num_experts", "1,2"),
+        ("PT", "params_budget", "500,900"),
+        ("DPT", "routing_mode", None),
+        ("DPT", "num_experts", "1,2"),
+        ("SMOP", "params_budget", "500,900"),
+    ],
+)
+def test_sweep_over_an_axis_the_method_ignores_is_exit_2(kind, axis, values, tiny_config,
+                                                          tmp_path, capsys):
+    rc = json.loads(open(tiny_config).read())
+    rc["method"]["kind"] = kind
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(rc))
+    cache, out = tmp_path / "cache", tmp_path / "sweep"
+    argv = ["sweep", "--config", str(path), "--seed", "2", "--axis", axis,
+            "--out", str(out), "--cache-dir", str(cache), "--quiet"]
+    if values:
+        argv += ["--values", values]
+    assert run_cli(*argv) == 2
+    assert f"{kind} ignores the {axis} axis" in capsys.readouterr().err
+    assert not cache.exists() and not out.exists()
 
 
 def test_inspect_routing_on_routerless_method_is_exit_2(tmp_path, capsys):

@@ -16,6 +16,15 @@ def test_generation_deterministic():
     assert a == b
 
 
+def test_rand_span_draws_length_then_letters():
+    # gen_synthetic's spans and pretrain.make_doc's spans share these draws
+    for i in range(200):
+        got = dt.rand_span(np.random.default_rng(i))
+        rng = np.random.default_rng(i)
+        n = int(rng.integers(3, 6))
+        assert got == " ".join(dt.LETTERS[j] for j in rng.integers(0, 26, n))
+
+
 def test_copy_span_shape():
     exs = dt.gen_synthetic("copy_span", 50, seed=3)
     for ex in exs:

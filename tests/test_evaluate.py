@@ -131,7 +131,8 @@ def test_aggregate_macro_vs_micro():
 def test_routing_log_lines(lm, provider, tmp_path):
     examples = dt.gen_synthetic("copy_span", 5, 51)
     log = tmp_path / "routing.jsonl"
-    ev.eval_dataset(provider, lm, examples, routing_log=str(log))
+    with open(log, "w", encoding="utf-8") as f:
+        ev.eval_dataset(provider, lm, examples, routing_log=f)
     lines = [json.loads(l) for l in log.read_text().splitlines()]
     assert len(lines) == 5
     for row in lines:
@@ -139,6 +140,17 @@ def test_routing_log_lines(lm, provider, tmp_path):
         assert row["task"] == "copy_span"
         assert len(row["soft"]) == 2
         assert np.isclose(sum(row["soft"]), 1.0)
+
+
+def test_split_report_logs_both_splits(lm, provider, tmp_path):
+    ids = dt.gen_synthetic("copy_span", 4, 71)
+    oods = dt.gen_synthetic("reverse", 3, 72) + dt.gen_synthetic("mod_mul", 2, 72)
+    log = tmp_path / "routing.jsonl"
+    with open(log, "w", encoding="utf-8") as f:
+        ev.split_report(provider, lm, ids, oods, batch_size=4, routing_log=f)
+    lines = [json.loads(l) for l in log.read_text().splitlines()]
+    assert [row["id"] for row in lines] == [ex.id for ex in ids + oods]
+    assert [row["task"] for row in lines] == [ex.task for ex in ids + oods]
 
 
 def test_split_report_structure(lm, provider):

@@ -78,6 +78,21 @@ def test_provider_counts_match_formula(lm):
         assert sum(a.size for a in p.param_arrays().values()) == want
 
 
+def test_auto_rank_builds_at_its_cap(lm):
+    # a budget beyond the full-rank bank, and prompts shorter than the
+    # budget's rank, build at rank min(t, h) at the desk width
+    h = lm.cfg.hidden
+    for kind, t, budget, want in (
+        ("PT_MOE", 40, 100_000, 40),
+        ("PT_MOE", 20, 0, 20),
+        ("DPT", 20, 0, 20),
+        ("DPT", 26, 0, 26),
+    ):
+        p = make_provider(lm, kind, prompt_length=t, budget=budget)
+        assert p.proj.shape == (want, h), (kind, t, budget)
+        assert p.param_count() == mt.expected_param_count(kind, t, p.cfg.num_experts, want, h)
+
+
 # ---- provide() behaviors ----------------------------------------------------
 
 def test_pt_prompt_is_input_independent(lm):

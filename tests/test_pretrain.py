@@ -8,6 +8,7 @@ answer.
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import re
 import threading
@@ -98,6 +99,14 @@ def test_eos_fraction_on_generic_docs():
     flags = [eos for text, eos in DOCS if "(mod 10)" not in text and not text.startswith(("copy: ", "reverse: "))]
     frac = sum(flags) / len(flags)
     assert 0.25 < frac < 0.45
+
+
+def test_default_corpus_is_pinned():
+    # the base cache key hashes the config, not the generator code, so any
+    # change to these bytes must come with a corpus_version bump
+    corpus = pt.gen_corpus(pt.PretrainConfig().docs, pt.PretrainConfig().seed)
+    digest = hashlib.sha256(json.dumps(corpus).encode()).hexdigest()
+    assert digest == "040cb200d5c2433a7f0b0e664e58045ccadce8a86741c12e1cb6c61d0e317378"
 
 
 def test_gen_corpus_appends_eos_only_when_flagged():

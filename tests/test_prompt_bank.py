@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from promptmoe import autodiff as ad
 from promptmoe import methods as mt
-from promptmoe import prompt_bank as pb
 from promptmoe.errors import ConfigError, ShapeError
 
 
@@ -28,7 +27,7 @@ def random_bank(seed=0, n=3, t=6, r=2, h=10):
 
 def test_init_experts_identical_bitwise():
     rng = np.random.default_rng(0)
-    a, _ = pb.init_from_embeddings(rng.normal(size=(8, 12)), n=3, r=4)
+    a, _ = mt.init_from_embeddings(rng.normal(size=(8, 12)), n=3, r=4)
     assert a.shape == (3, 8, 4)
     assert np.array_equal(a[0], a[1])
     assert np.array_equal(a[1], a[2])
@@ -36,7 +35,7 @@ def test_init_experts_identical_bitwise():
 
 def test_init_rank_one_matrix_is_exact():
     e = np.outer(np.arange(1.0, 7.0), np.arange(1.0, 5.0))
-    a, b = pb.init_from_embeddings(e, n=1, r=1)
+    a, b = mt.init_from_embeddings(e, n=1, r=1)
     recon = a[0] @ b
     assert np.linalg.norm(recon - e) <= 1e-10 * np.linalg.norm(e)
 
@@ -44,7 +43,7 @@ def test_init_rank_one_matrix_is_exact():
 def test_init_full_rank_reconstructs():
     rng = np.random.default_rng(1)
     e = rng.normal(size=(6, 9))
-    a, b = pb.init_from_embeddings(e, n=2, r=6)
+    a, b = mt.init_from_embeddings(e, n=2, r=6)
     recon = a[0] @ b
     assert np.linalg.norm(recon - e) <= 1e-10 * np.linalg.norm(e)
 
@@ -54,16 +53,16 @@ def test_init_truncation_error_monotone_in_rank():
     e = rng.normal(size=(7, 11))
     errs = []
     for r in range(1, 8):
-        a, b = pb.init_from_embeddings(e, n=1, r=r)
+        a, b = mt.init_from_embeddings(e, n=1, r=r)
         errs.append(np.linalg.norm(a[0] @ b - e))
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
 
 
 def test_init_rejects_bad_rank():
     with pytest.raises(ShapeError):
-        pb.init_from_embeddings(np.ones((4, 6)), n=2, r=5)
+        mt.init_from_embeddings(np.ones((4, 6)), n=2, r=5)
     with pytest.raises(ConfigError):
-        pb.init_from_embeddings(np.ones((4, 6)), n=0, r=2)
+        mt.init_from_embeddings(np.ones((4, 6)), n=0, r=2)
 
 
 def test_compose_one_hot_picks_single_expert():
@@ -109,8 +108,6 @@ def test_param_count_reference_configs():
     assert mt.expected_param_count("PT_MOE", 40, 2, 36, 2048) == 80_706
     assert mt.expected_param_count("DPT", 40, 1, 39, 2048) == 81_432
     assert mt.expected_param_count("DPT", 1, 1, 1, 1) == 2
-    assert pb.format_k(80_706) == "80k"
-    assert pb.format_k(81_432) == "81k"
 
 
 def test_param_count_beats_undecomposed_default():
@@ -120,7 +117,7 @@ def test_param_count_beats_undecomposed_default():
 
 def test_bank_param_count_matches_array_sizes():
     n, t, r, h = 2, 5, 3, 7
-    a, b = pb.init_from_embeddings(np.random.default_rng(4).normal(size=(t, h)), n=n, r=r)
+    a, b = mt.init_from_embeddings(np.random.default_rng(4).normal(size=(t, h)), n=n, r=r)
     router = n * h + n
     assert a.size + b.size + router == mt.expected_param_count("PT_MOE", t, n, r, h)
     assert a[:1].size + b.size == mt.expected_param_count("DPT", t, 1, r, h)
@@ -149,4 +146,22 @@ def test_auto_rank_exact_rank_one_boundary():
 def test_auto_rank_rejects_router_only_budget():
     with pytest.raises(ConfigError):
         auto_rank("PT_MOE", 2 * 8 + 2, n=2, t=4, h=8)
+
+
+def test_auto_rank_is_the_budget_closed_form_capped_at_the_init_rank():
+    # (budget - router) // (n*t + h), the bank's cost per rank, capped at
+    # min(t, h): an SVD of the t x h init text has no higher rank
+    for kind in ("DPT", "PT_MOE"):
+        for t in (1, 4, 20, 40):
+            for n in ((1,) if kind == "DPT" else (1, 2, 3)):
+                for h in (8, 16, 64):
+                    router = n * h + n if kind == "PT_MOE" else 0
+                    for budget in (router + n * t + h, 500, 2522, 10_000, 100_000):
+                        closed = (budget - router) // (n * t + h)
+                        if closed < 1:
+                            with pytest.raises(ConfigError, match="too small for rank 1"):
+                                auto_rank(kind, budget, n, t, h)
+                            continue
+                        want = min(closed, t, h)
+                        assert auto_rank(kind, budget, n, t, h) == want, (kind, t, n, h, budget)
 

@@ -7,7 +7,7 @@ import pytest
 
 from promptmoe import config as cf
 from promptmoe import sweep as sw
-from promptmoe.errors import ConfigError
+from promptmoe.errors import ConfigError, NumericalError
 from promptmoe.pretrain import PretrainConfig
 
 
@@ -122,27 +122,40 @@ def test_run_sweep_flushes_each_leg(tmp_path):
     assert "num_experts" in table and "ID macro" in table
 
 
-def test_failed_leg_keeps_partial_results(tmp_path):
+def test_failed_leg_keeps_partial_results(tmp_path, monkeypatch):
     rc = tiny_rc()
-    # second leg: a valid config whose budget fits no rank-1 bank -> build-time error
-    spec = sw.SweepSpec("params_budget", [162, 1])
-    with pytest.raises(ConfigError, match="too small for rank 1"):
+    # second leg: a valid config whose run fails while training
+    real, calls = sw.run_training, []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericalError("second leg diverged")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sw, "run_training", fail_second)
+    spec = sw.SweepSpec("params_budget", [162, 200])
+    with pytest.raises(NumericalError, match="second leg"):
         sw.run_sweep(spec, rc, seed=5, cache_dir=str(tmp_path / "cache"),
                      out_dir=str(tmp_path / "out"))
     on_disk = json.loads((tmp_path / "out" / "sweep.json").read_text())
-    assert on_disk["status"] == "failed at params_budget=1"
+    assert on_disk["status"] == "failed at params_budget=200"
     assert len(on_disk["legs"]) == 1
     assert on_disk["legs"][0]["value"] == 162
 
 
 def test_invalid_leg_config_fails_before_any_leg_runs(tmp_path):
-    rc = tiny_rc(kind="SMOP")
-    # second leg: 8 slots cannot split over 5 experts -> config error
-    spec = sw.SweepSpec("num_experts", [2, 5])
-    with pytest.raises(ConfigError, match="divisible"):
-        sw.run_sweep(spec, rc, seed=5, cache_dir=str(tmp_path / "cache"),
-                     out_dir=str(tmp_path / "out"))
-    assert not (tmp_path / "cache").exists() and not (tmp_path / "out").exists()
+    for kind, axis, values, message in (
+        # second leg: 8 slots cannot split over 5 experts
+        ("SMOP", "num_experts", [2, 5], "divisible"),
+        # second leg: a budget that fits no rank-1 bank
+        ("PT_MOE", "params_budget", [162, 1], "too small for rank 1"),
+    ):
+        spec = sw.SweepSpec(axis, values)
+        with pytest.raises(ConfigError, match=message):
+            sw.run_sweep(spec, tiny_rc(kind=kind), seed=5, cache_dir=str(tmp_path / "cache"),
+                         out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "cache").exists() and not (tmp_path / "out").exists()
 
 
 def test_format_table_lines_up():
