@@ -108,7 +108,6 @@ def cmd_eval(args):
         kw = dict(
             batch_size=rc.eval.batch_size,
             max_new=rc.eval.max_new or None,
-            raw=rc.eval.raw_match,
             routing_log=log,
         )
         if examples is not None:

@@ -2,9 +2,10 @@
 
 Keys inside each section are exactly the dataclass field names, and each
 field's default is its shipped desk value, so a file may set any subset
-of keys and the rest keep their shipped values. Unknown keys are
-rejected loudly rather than ignored, since a typo like "warmup_step"
-silently falling back to a default is the worst failure mode a config
+of keys and the rest keep their shipped values. Unknown keys, and method
+keys the chosen kind ignores (``methods.unread_fields``), are rejected
+loudly rather than ignored, since a typo like "warmup_step" or a router
+setting on PT silently changing nothing is the worst failure mode a config
 system can have.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .data import TASKS
 from .errors import ConfigError
-from .methods import MethodConfig
+from .methods import MethodConfig, unread_fields
 from .pretrain import PretrainConfig
 from .trainer import TrainConfig
 
@@ -48,7 +49,6 @@ class DataConfig:
 class EvalConfig:
     batch_size: int = 64
     max_new: int = 0  # 0 = per-example budget from the target length
-    raw_match: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -102,6 +102,10 @@ def from_dict(raw):
         if not isinstance(section, dict):
             raise ConfigError(f"section {name!r} must be an object")
         parts[name] = _build_section(cls, section, name)
+    kind = parts["method"].kind
+    unread = set(raw.get("method", {})) & unread_fields(kind)
+    if unread:
+        raise ConfigError(f"method: {kind} ignores key(s) {sorted(unread)}")
     return RunConfig(**parts)
 
 
@@ -117,7 +121,11 @@ def load(path):
 
 
 def to_dict(rc):
-    return {name: dataclasses.asdict(getattr(rc, name)) for name in _SECTIONS}
+    """The config as ``from_dict`` takes it, without the method keys its kind ignores."""
+    out = {name: dataclasses.asdict(getattr(rc, name)) for name in _SECTIONS}
+    for key in unread_fields(rc.method.kind):
+        del out["method"][key]
+    return out
 
 
 def default_run_config():

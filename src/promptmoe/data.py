@@ -3,21 +3,24 @@
 Two task families stand in for span extraction (copy_span, reverse) and
 math word problems (mod_add, mod_mul). Inputs and targets are plain text;
 ids are unique within a generated set. The JSONL schema is one object per
-line with exactly the keys input/target/task/id.
+line with the string keys input/target/task/id.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .linalg import RngStream
+from .metrics import ANSWER_MARKER
 from .model import EOS_ID, PAD_ID, Batch, encode
 
 TASKS = ("copy_span", "reverse", "mod_add", "mod_mul")
+MATH_TASKS = ("mod_add", "mod_mul")
+JSONL_KEYS = ("input", "target", "task", "id")
 SEPARATOR = "\n"  # marks where the answer begins
-ANSWER_PREFIX = "The answer is: "
+ANSWER_PREFIX = ANSWER_MARKER + " "
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -43,14 +46,7 @@ def gen_synthetic(task, count, seed):
     out = []
     for i in range(count):
         rng = RngStream(seed).child("data", task, i).generator()
-        if task in ("copy_span", "reverse"):
-            span = rand_span(rng)
-            if task == "copy_span":
-                ex = Example(f"copy: {span}", span, task, f"{task}-{seed}-{i}")
-            else:
-                rev = " ".join(reversed(span.split()))
-                ex = Example(f"reverse: {span}", rev, task, f"{task}-{seed}-{i}")
-        else:
+        if task in MATH_TASKS:
             x, y = (int(v) for v in rng.integers(0, 10, 2))
             op, val = ("+", (x + y) % 10) if task == "mod_add" else ("*", (x * y) % 10)
             ex = Example(
@@ -59,6 +55,13 @@ def gen_synthetic(task, count, seed):
                 task,
                 f"{task}-{seed}-{i}",
             )
+        else:
+            span = rand_span(rng)
+            if task == "copy_span":
+                ex = Example(f"copy: {span}", span, task, f"{task}-{seed}-{i}")
+            else:
+                rev = " ".join(reversed(span.split()))
+                ex = Example(f"reverse: {span}", rev, task, f"{task}-{seed}-{i}")
         out.append(ex)
     return out
 
@@ -66,12 +69,7 @@ def gen_synthetic(task, count, seed):
 def save_jsonl(path, examples):
     with open(path, "w", encoding="utf-8") as f:
         for ex in examples:
-            f.write(
-                json.dumps(
-                    {"input": ex.input, "target": ex.target, "task": ex.task, "id": ex.id}
-                )
-                + "\n"
-            )
+            f.write(json.dumps(asdict(ex)) + "\n")
 
 
 def load_jsonl(path):
@@ -86,9 +84,14 @@ def load_jsonl(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: not valid JSON: {e}") from None
-            missing = {"input", "target", "task", "id"} - rec.keys()
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: not a JSON object")
+            missing = set(JSONL_KEYS) - rec.keys()
             if missing:
                 raise DataError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+            bad = [k for k in JSONL_KEYS if not isinstance(rec[k], str)]
+            if bad:
+                raise DataError(f"{path}:{lineno}: {bad} must be strings")
             if not rec["target"]:
                 raise DataError(f"{path}:{lineno}: empty target")
             if rec["id"] in seen:
@@ -132,11 +135,9 @@ def build_batch(examples, max_seq=None):
     )
 
 
-def build_input_batch(examples, max_seq=None):
+def build_input_batch(examples):
     """Inputs only (with separator), for generation."""
     ids, attn = pad_right([encode(ex.input + SEPARATOR) for ex in examples])
-    if max_seq is not None and ids.shape[1] > max_seq:
-        raise DataError(f"an input needs {ids.shape[1]} tokens, over the {max_seq} limit")
     return Batch(
         token_ids=ids,
         attn_mask=attn,

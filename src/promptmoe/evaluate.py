@@ -17,15 +17,13 @@ from . import data as dt
 from . import metrics as mx
 from .model import decode
 
-MATH_TASKS = ("mod_add", "mod_mul")
 
-
-def score_example(pred, gold, task, raw=False):
-    em = mx.exact_match(pred, gold, raw=raw)
-    f1 = mx.f1(pred, gold, raw=raw)
+def score_example(pred, gold, task):
+    em = mx.exact_match(pred, gold)
+    f1 = mx.f1(pred, gold)
     rec = {"em": em, "f1": f1}
-    if task in MATH_TASKS:
-        rec["math_accuracy"] = mx.math_accuracy(pred, gold, raw=raw)
+    if task in dt.MATH_TASKS:
+        rec["math_accuracy"] = mx.math_accuracy(pred, gold)
         rec["format_failure"] = mx.extract_answer(pred) is None
         rec["primary"] = rec["math_accuracy"]
     else:
@@ -60,7 +58,6 @@ def eval_dataset(
     examples,
     batch_size=64,
     max_new=None,
-    raw=False,
     routing_log=None,
     keep_records=False,
 ):
@@ -125,7 +122,7 @@ def eval_dataset(
                     )
         for ex, pred_ids in zip(chunk, preds):
             pred = decode(pred_ids)
-            rec = score_example(pred, ex.target, ex.task, raw=raw)
+            rec = score_example(pred, ex.target, ex.task)
             slot = per_task.setdefault(
                 ex.task,
                 {"count": 0, "em": 0.0, "f1": 0.0, "math_accuracy": 0.0,
@@ -145,7 +142,7 @@ def eval_dataset(
         slot["primary_sum"] = slot["primary"]
         for key in ("em", "f1", "math_accuracy", "primary"):
             slot[key] = slot[key] / c if c else 0.0
-        if task not in MATH_TASKS:
+        if task not in dt.MATH_TASKS:
             del slot["math_accuracy"]
 
     report = {

@@ -28,7 +28,16 @@ from .errors import ConfigError
 from .linalg import mean_rows, truncated_svd
 
 KINDS = ("PT", "DPT", "SMOP", "PT_MOE")
+DECOMPOSED_KINDS = ("DPT", "PT_MOE")
 ROUTED_KINDS = ("SMOP", "PT_MOE")
+
+
+def unread_fields(kind):
+    """The MethodConfig fields ``kind`` has no part to read: a value set there changes nothing."""
+    unread = set() if kind in DECOMPOSED_KINDS else {"rank", "budget"}
+    if kind not in ROUTED_KINDS:
+        unread |= {"num_experts", "sigma", "k", "selective", "probationary", "router_w_std"}
+    return unread
 
 
 @dataclass
@@ -52,7 +61,7 @@ class MethodConfig:
             raise ConfigError(f"unknown method kind {self.kind!r}, expected one of {KINDS}")
         if self.prompt_length < 1:
             raise ConfigError(f"prompt_length must be >= 1, got {self.prompt_length}")
-        if self.kind in ("PT", "DPT"):
+        if self.kind not in ROUTED_KINDS:
             self.num_experts = 1
         if self.num_experts < 1:
             raise ConfigError(f"num_experts must be >= 1, got {self.num_experts}")
@@ -63,7 +72,7 @@ class MethodConfig:
             )
         if self.budget < 0:
             raise ConfigError(f"budget must be >= 0, got {self.budget}")
-        if self.kind in ("DPT", "PT_MOE") and self.rank != "auto":
+        if self.kind in DECOMPOSED_KINDS and self.rank != "auto":
             if isinstance(self.rank, bool) or not isinstance(self.rank, int):
                 raise ConfigError(f"rank must be \"auto\" or an integer, got {self.rank!r}")
             if not 1 <= self.rank <= self.prompt_length:
@@ -78,7 +87,7 @@ class MethodConfig:
 
     def resolve_rank(self, h):
         """Rank of the shared projection at base width h (None for PT and SMOP)."""
-        if self.kind in ("PT", "SMOP"):
+        if self.kind not in DECOMPOSED_KINDS:
             return None
         if self.rank != "auto":
             if self.rank > h:
@@ -101,7 +110,7 @@ def init_text_embeddings(lm, text, t):
     The byte sequence is truncated to t tokens, or cycled when shorter, so
     the prompt always starts from in-distribution rows.
     """
-    ids = [tok for tok in lm_mod.encode(text) if tok < lm.cfg.vocab_size]
+    ids = lm_mod.encode(text)
     if not ids:
         raise ConfigError("initialization text is empty after tokenization")
     cycled = [ids[i % len(ids)] for i in range(t)]
@@ -183,7 +192,7 @@ def build(cfg, lm, rng):
     t, h, n = cfg.prompt_length, lm.cfg.hidden, cfg.num_experts
     e = init_text_embeddings(lm, cfg.init_text, t)
     proj = w = b = None
-    if cfg.kind in ("PT", "SMOP"):
+    if cfg.kind not in DECOMPOSED_KINDS:
         stack = np.array(e.reshape(n, t // n, h))  # SMOP: n consecutive spans of t/n rows
     else:
         stack, proj = init_from_embeddings(e, n=n, r=cfg.resolve_rank(h))

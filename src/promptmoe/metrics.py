@@ -1,8 +1,8 @@
 """Text metrics: token-level F1, exact match, and math answer accuracy.
 
-Normalization follows the extractive-QA convention: lowercase, strip
-punctuation, drop the articles a/an/the, collapse whitespace. A
-``raw=True`` escape hatch skips it for callers that want literal matching.
+Every score compares normalized answers, following the extractive-QA
+convention: lowercase, strip punctuation, drop the articles a/an/the,
+collapse whitespace.
 """
 
 import re
@@ -21,13 +21,9 @@ def normalize_answer(s):
     return " ".join(s.split())
 
 
-def _tokens(s, raw):
-    return (s if raw else normalize_answer(s)).split()
-
-
-def f1(pred, gold, raw=False):
-    p_tokens = _tokens(pred, raw)
-    g_tokens = _tokens(gold, raw)
+def f1(pred, gold):
+    p_tokens = normalize_answer(pred).split()
+    g_tokens = normalize_answer(gold).split()
     if not p_tokens and not g_tokens:
         return 1.0
     if not p_tokens or not g_tokens:
@@ -41,9 +37,7 @@ def f1(pred, gold, raw=False):
     return 2 * precision * recall / (precision + recall)
 
 
-def exact_match(pred, gold, raw=False):
-    if raw:
-        return int(pred == gold)
+def exact_match(pred, gold):
     return int(normalize_answer(pred) == normalize_answer(gold))
 
 
@@ -62,7 +56,7 @@ def _canonical(s):
         return None
 
 
-def math_accuracy(pred, gold, raw=False):
+def math_accuracy(pred, gold):
     """1 iff the extracted answers agree; missing marker in pred scores 0.
 
     Numeric answers compare as numbers ('7.0' matches '7'); anything else
@@ -76,4 +70,4 @@ def math_accuracy(pred, gold, raw=False):
     pn, gn = _canonical(p), _canonical(g)
     if pn is not None and gn is not None:
         return int(pn == gn)
-    return exact_match(p, g, raw=raw)
+    return exact_match(p, g)

@@ -29,8 +29,7 @@ attends over the stored slots. Cached keys and values enter the graph as constan
 for inference only.
 
 Tokenization is byte-level UTF-8: ids 0..255 are raw bytes, 256 is PAD and
-257 EOS. The stock model config keeps vocab_size=256 (bytes only); a
-pretrained base uses ``VOCAB_WITH_SPECIALS`` (258).
+257 EOS, so every model has ``VOCAB_WITH_SPECIALS`` (258) embedding rows.
 """
 
 import copy
@@ -61,14 +60,13 @@ def decode(ids):
 
 @dataclass
 class LMConfig:
-    vocab_size: int = 256
     hidden: int = 64
     layers: int = 2
     heads: int = 2
     max_seq: int = 256
 
     def __post_init__(self):
-        if min(self.vocab_size, self.hidden, self.layers, self.heads, self.max_seq) < 1:
+        if min(self.hidden, self.layers, self.heads, self.max_seq) < 1:
             raise ConfigError(f"non-positive model dimension in {self}")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
@@ -114,9 +112,9 @@ class ToyLM:
 
     @classmethod
     def create(cls, cfg, rng, init_std=0.02):
-        h, v = cfg.hidden, cfg.vocab_size
+        h = cfg.hidden
         p = {
-            "emb": np.asarray(rng.child("emb").normal((v, h), std=init_std)),
+            "emb": np.asarray(rng.child("emb").normal((VOCAB_WITH_SPECIALS, h), std=init_std)),
             "lnf.g": np.ones(h),
             "lnf.b": np.zeros(h),
         }
@@ -170,12 +168,12 @@ class ToyLM:
     def embed(self, token_ids):
         """Raw embedding rows for ids; validates range and names the offender."""
         ids = np.asarray(token_ids, dtype=np.int64)
-        bad = np.argwhere((ids < 0) | (ids >= self.cfg.vocab_size))
+        bad = np.argwhere((ids < 0) | (ids >= VOCAB_WITH_SPECIALS))
         if bad.size:
             pos = tuple(int(x) for x in bad[0])
             raise DataError(
                 f"token id {int(ids[pos])} out of range for vocab "
-                f"{self.cfg.vocab_size} at position {pos}"
+                f"{VOCAB_WITH_SPECIALS} at position {pos}"
             )
         return self.params["emb"][ids]
 

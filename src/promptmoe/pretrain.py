@@ -21,7 +21,7 @@ import numpy as np
 from .data import ANSWER_PREFIX, LETTERS, SEPARATOR, pad_right, rand_span
 from .errors import ConfigError, NumericalError
 from .linalg import RngStream
-from .model import EOS_ID, VOCAB_WITH_SPECIALS, Batch, LMConfig, ToyLM, encode
+from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
 from .trainer import AdamWState, adamw_step, read_npz, write_npz
 from . import autodiff as ad, blas
 
@@ -70,7 +70,6 @@ class PretrainConfig:
 
     def lm_config(self):
         return LMConfig(
-            vocab_size=VOCAB_WITH_SPECIALS,
             hidden=self.hidden,
             layers=self.layers,
             heads=self.heads,

@@ -70,7 +70,6 @@ def run_training(rc, seed=None, cache_dir=".cache", out_dir=None, log_fn=None):
         test_ood,
         batch_size=rc.eval.batch_size,
         max_new=rc.eval.max_new or None,
-        raw=rc.eval.raw_match,
     )
 
     out = {

@@ -13,19 +13,13 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .methods import unread_fields
 from .runner import run_training
 
 AXES = ("prompt_length", "num_experts", "params_budget", "routing_mode", "base_model_size")
 ROUTING_MODES = ("S+P", "NS+P", "S+NP", "NS+NP")
 PROMPT_LENGTH_RANGE = (20, 80)
 NUM_EXPERTS_RANGE = (1, 8)
-# axes whose legs would all train the same run: PT and DPT have no router or
-# experts, PT and SMoP no rank for a budget to set
-IGNORED_AXES = {
-    "PT": ("routing_mode", "num_experts", "params_budget"),
-    "DPT": ("routing_mode", "num_experts"),
-    "SMOP": ("params_budget",),
-}
 
 
 def parse_routing_mode(label):
@@ -68,25 +62,22 @@ class SweepSpec:
 
 def apply_axis(rc, axis, value):
     """A new RunConfig with one knob moved; validation reruns on replace."""
-    method, base = rc.method, rc.base
-    if axis in IGNORED_AXES.get(method.kind, ()):
-        raise ConfigError(
-            f"{method.kind} ignores the {axis} axis; every leg would train the same run"
-        )
-    if axis == "prompt_length":
-        method = dataclasses.replace(method, prompt_length=int(value))
-    elif axis == "num_experts":
-        method = dataclasses.replace(method, num_experts=int(value))
-    elif axis == "params_budget":
-        method = dataclasses.replace(method, rank="auto", budget=int(value))
-    elif axis == "routing_mode":
+    if axis == "base_model_size":
+        return dataclasses.replace(rc, base=dataclasses.replace(rc.base, hidden=int(value)))
+    if axis == "routing_mode":
         sel, prob = parse_routing_mode(value)
-        method = dataclasses.replace(method, selective=sel, probationary=prob)
-    elif axis == "base_model_size":
-        base = dataclasses.replace(rc.base, hidden=int(value))
+        fields = {"selective": sel, "probationary": prob}
+    elif axis == "params_budget":
+        fields = {"rank": "auto", "budget": int(value)}
+    elif axis in ("prompt_length", "num_experts"):
+        fields = {axis: int(value)}
     else:
         raise ConfigError(f"unknown axis {axis!r}")
-    return dataclasses.replace(rc, method=method, base=base)
+    if set(fields) & unread_fields(rc.method.kind):
+        raise ConfigError(
+            f"{rc.method.kind} ignores the {axis} axis; every leg would train the same run"
+        )
+    return dataclasses.replace(rc, method=dataclasses.replace(rc.method, **fields))
 
 
 def _row(value, out):

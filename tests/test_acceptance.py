@@ -90,7 +90,7 @@ def test_reference_parameter_table(capsys):
 
 def test_gradients_all_routing_modes(capsys):
     t0 = time.time()
-    cfg = LMConfig(vocab_size=256, hidden=64, layers=2, heads=2, max_seq=64)
+    cfg = LMConfig(hidden=64, layers=2, heads=2, max_seq=64)
     lm = ToyLM.create(cfg, RngStream(21).child("lm"), init_std=0.05)
     lm.freeze()
     worst = {}
@@ -150,7 +150,7 @@ def test_factorized_init_contract(capsys):
         errs.append(np.linalg.norm(ar @ br - e))
     monotone = all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
 
-    cfg = LMConfig(vocab_size=258, hidden=24, layers=1, heads=2, max_seq=32)
+    cfg = LMConfig(hidden=24, layers=1, heads=2, max_seq=32)
     lm = ToyLM.create(cfg, RngStream(1).child("lm"), init_std=0.05)
     lm.freeze()
     provider = mt.build(
@@ -239,7 +239,7 @@ def test_frozen_base_and_optimizer_contracts(capsys, desk):
         and tr.lr_at(900, cfg) == 2e-5
     )
 
-    small_cfg = LMConfig(vocab_size=258, hidden=32, layers=1, heads=2, max_seq=64)
+    small_cfg = LMConfig(hidden=32, layers=1, heads=2, max_seq=64)
     small = ToyLM.create(small_cfg, RngStream(11).child("lm"), init_std=0.05)
     small.freeze()
     batch = dt.build_batch(dt.gen_synthetic("copy_span", 4, 5), max_seq=48)

@@ -101,6 +101,34 @@ def test_bad_base_shape_or_removed_key_is_exit_2_at_load(base, message, tmp_path
     assert not cache.exists()
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"method": {"kind": "PT", "rank": "big", "budget": 5, "k": 7, "sigma": -1.0,
+                     "num_experts": 9}},
+         "method: PT ignores key(s) ['budget', 'k', 'num_experts', 'rank', 'sigma']"),
+        ({"method": {"kind": "PT", "num_experts": 1}},
+         "method: PT ignores key(s) ['num_experts']"),
+        ({"method": {"kind": "DPT", "selective": False, "rank": 4}},
+         "method: DPT ignores key(s) ['selective']"),
+        ({"method": {"kind": "SMOP", "budget": 900}}, "method: SMOP ignores key(s) ['budget']"),
+        ({"eval": {"raw_match": True}}, "eval: unknown key(s) ['raw_match']"),
+    ],
+    ids=["pt-router-and-rank", "pt-num-experts", "dpt-router", "smop-budget", "raw-match"],
+)
+def test_key_the_run_would_not_read_is_exit_2_at_load(raw, message, tmp_path, capsys):
+    # a tiny base, so that a config that loads pretrains in a moment and exits 0
+    base = {"hidden": 16, "layers": 1, "heads": 2, "max_seq": 64, "docs": 60, "steps": 3,
+            "batch_size": 4, "warmup_steps": 1}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**raw, "base": base}))
+    cache = tmp_path / "cache"
+    assert run_cli("pretrain-base", "--config", str(path), "--cache-dir", str(cache),
+                   "--quiet") == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_missing_config_file_is_exit_2(capsys):
     assert run_cli("train", "--seed", "1", "--config", "/nonexistent.json") == 2
     assert "config error" in capsys.readouterr().err
@@ -185,14 +213,15 @@ def test_eval_checkpoint_under_mismatched_config_is_exit_2(tiny_config, tmp_path
     assert run_cli("train", "--config", tiny_config, "--seed", "3",
                    "--out", str(tmp_path / "run"), "--cache-dir", cache, "--quiet") == 0
     capsys.readouterr()
-    raw = json.loads(open(tiny_config).read())
+    rc = cf.load(tiny_config)
     cases = (
         ({"prompt_length": 6}, "array 'bank.A' has shape (2, 8, 2), the config expects (2, 6, 2)"),
         ({"kind": "PT"}, "missing arrays ['opt.m.pt.P', 'opt.v.pt.P', 'pt.P']"),
     )
     for override, message in cases:
         other = tmp_path / "other.json"
-        other.write_text(json.dumps({**raw, "method": {**raw["method"], **override}}))
+        method = dataclasses.replace(rc.method, **override)
+        other.write_text(json.dumps(cf.to_dict(dataclasses.replace(rc, method=method))))
         code = run_cli("eval", "--config", str(other), "--cache-dir", cache, "--quiet",
                        "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"))
         assert code == 2
@@ -247,13 +276,23 @@ def test_bad_jsonl_is_exit_3(tiny_config, tmp_path, capsys):
     run_cli("train", "--config", tiny_config, "--seed", "3",
             "--out", str(tmp_path / "run"), "--cache-dir", cache, "--quiet")
     capsys.readouterr()
+    good = json.dumps({"input": "copy: a", "target": "a", "task": "copy_span", "id": "g"})
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"input": "x"}')
-    code = run_cli("eval", "--config", tiny_config,
-                   "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
-                   "--cache-dir", cache, "--data", str(bad), "--quiet")
-    assert code == 3
-    assert "data error" in capsys.readouterr().err
+    for text, message in (
+        ('{"input": "x"}', "bad.jsonl:1: missing keys"),
+        ("[1, 2]", "bad.jsonl:1: not a JSON object"),
+        ('{"input": 5, "target": "a", "task": "copy_span", "id": "p"}',
+         "bad.jsonl:1: ['input'] must be strings"),
+        (good + '\n{"input": "x", "target": "a", "task": 3, "id": 7}',
+         "bad.jsonl:2: ['task', 'id'] must be strings"),
+    ):
+        bad.write_text(text)
+        code = run_cli("eval", "--config", tiny_config,
+                       "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+                       "--cache-dir", cache, "--data", str(bad), "--quiet")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and message in err
 
 
 def test_pretrain_base_prints_cache_path(tiny_config, tmp_path, capsys):
@@ -345,10 +384,10 @@ def test_sweep_with_a_bad_base_leg_exits_2_before_any_leg_trains(tiny_config, tm
 )
 def test_sweep_over_an_axis_the_method_ignores_is_exit_2(kind, axis, values, tiny_config,
                                                           tmp_path, capsys):
-    rc = json.loads(open(tiny_config).read())
-    rc["method"]["kind"] = kind
+    rc = cf.load(tiny_config)
+    rc = dataclasses.replace(rc, method=dataclasses.replace(rc.method, kind=kind))
     path = tmp_path / "kind.json"
-    path.write_text(json.dumps(rc))
+    path.write_text(json.dumps(cf.to_dict(rc)))
     cache, out = tmp_path / "cache", tmp_path / "sweep"
     argv = ["sweep", "--config", str(path), "--seed", "2", "--axis", axis,
             "--out", str(out), "--cache-dir", str(cache), "--quiet"]

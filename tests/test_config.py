@@ -8,7 +8,9 @@ import pathlib
 import pytest
 
 from promptmoe import config as cf
+from promptmoe import methods as mt
 from promptmoe.errors import ConfigError
+from promptmoe.model import LMConfig
 
 
 def test_defaults_build():
@@ -83,6 +85,41 @@ def test_roundtrip_through_file(tmp_path):
     p.write_text(json.dumps(cf.to_dict(rc)))
     back = cf.load(str(p))
     assert cf.to_dict(back) == cf.to_dict(rc)
+
+
+# every value a run config or a model shape can set: a change that adds or
+# removes a knob changes this pin in its own diff
+RUN_SETTINGS = {
+    "method": {"kind", "prompt_length", "num_experts", "rank", "budget", "sigma", "k",
+               "selective", "probationary", "init_text", "router_w_std"},
+    "train": {"steps", "batch_size", "warmup_steps", "lr", "grad_accum", "seed"},
+    "base": {"hidden", "layers", "heads", "max_seq", "docs", "steps", "batch_size", "pack_len",
+             "lr", "warmup_steps", "seed", "init_std", "corpus_version"},
+    "data": {"id_tasks", "ood_tasks", "train_count", "test_count", "ood_count", "train_seed",
+             "test_seed", "ood_seed"},
+    "eval": {"batch_size", "max_new"},
+}
+
+
+def test_config_surface_is_pinned():
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert {f.name: names(f.type) for f in dataclasses.fields(cf.RunConfig)} == RUN_SETTINGS
+    assert names(LMConfig) == {"hidden", "layers", "heads", "max_seq"}
+
+
+def test_to_dict_loads_back_for_every_kind(tmp_path):
+    # to_dict leaves out what the kind ignores, so load accepts what it writes
+    rc = cf.default_run_config()
+    for kind in mt.KINDS:
+        want = dataclasses.replace(rc, method=dataclasses.replace(rc.method, kind=kind, rank=8))
+        p = tmp_path / f"{kind}.json"
+        p.write_text(json.dumps(cf.to_dict(want)))
+        back = cf.load(str(p))
+        assert cf.to_dict(back) == cf.to_dict(want)
+        assert set(cf.to_dict(back)["method"]) == RUN_SETTINGS["method"] - mt.unread_fields(kind)
+        assert back.method.resolve_rank(64) == want.method.resolve_rank(64)
 
 
 def test_partial_override_keeps_other_defaults():

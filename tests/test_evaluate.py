@@ -16,7 +16,7 @@ from promptmoe.model import LMConfig, ToyLM
 
 @pytest.fixture(scope="module")
 def lm():
-    cfg = LMConfig(vocab_size=258, hidden=32, layers=1, heads=2, max_seq=48)
+    cfg = LMConfig(hidden=32, layers=1, heads=2, max_seq=48)
     model = ToyLM.create(cfg, RngStream(11).child("lm"), init_std=0.05)
     model.freeze()
     return model

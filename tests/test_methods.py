@@ -24,7 +24,7 @@ H_REF = 2048
 
 @pytest.fixture(scope="module")
 def lm():
-    cfg = LMConfig(vocab_size=258, hidden=64, layers=2, heads=4, max_seq=128)
+    cfg = LMConfig(hidden=64, layers=2, heads=4, max_seq=128)
     model = ToyLM.create(cfg, RngStream(3).child("lm"), init_std=0.05)
     model.freeze()
     return model
@@ -296,7 +296,7 @@ def test_backward_leaves_no_adjoint_on_constants(lm):
 @pytest.mark.parametrize("selective,probationary", [(True, True), (False, True),
                                                     (True, False), (False, False)])
 def test_full_model_gradcheck_all_modes(selective, probationary):
-    cfg = LMConfig(vocab_size=256, hidden=64, layers=2, heads=2, max_seq=64)
+    cfg = LMConfig(hidden=64, layers=2, heads=2, max_seq=64)
     lm = ToyLM.create(cfg, RngStream(21).child("lm"), init_std=0.05)
     lm.freeze()
     mcfg = mt.MethodConfig(
@@ -311,7 +311,7 @@ def test_full_model_gradcheck_all_modes(selective, probationary):
     jit = np.random.default_rng(5)
     provider.stack += jit.normal(0.0, 0.05, provider.stack.shape)
     provider.router_w += jit.normal(0.0, 0.05, provider.router_w.shape)
-    # hand-built batch: the toy vocab has no specials, so no EOS plumbing
+    # a hand-built batch of plain bytes, with no EOS
     from promptmoe.model import Batch
 
     ids = np.array([[97, 98, 10, 99, 100], [49, 50, 10, 51, 52]], dtype=np.int64)

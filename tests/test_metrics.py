@@ -90,13 +90,6 @@ def test_normalize_answer():
     assert normalize_answer(normalize_answer(s)) == normalize_answer(s)
 
 
-def test_raw_flag_disables_normalization():
-    assert exact_match("The Cat", "the cat", raw=True) == 0
-    assert f1("The Cat", "the cat", raw=True) == 0.0
-    assert f1("The Cat", "The Cat", raw=True) == 1.0
-    assert math_accuracy("The answer is: Seven", "The answer is: seven", raw=True) == 0
-
-
 def test_format_failure_signal():
     # the tally the evaluator keeps is exactly "no marker in the prediction"
     assert extract_answer("forgot to finish") is None

@@ -12,15 +12,13 @@ from promptmoe.linalg import RngStream
 from test_autodiff import assert_adjoints_unwritten, graph_records, snapshot_adjoints, traced_peak
 
 
-def make_lm(vocab=258, hidden=16, layers=2, heads=2, max_seq=64, seed=0, frozen=True,
-            random_params=False):
+def make_lm(hidden=16, layers=2, heads=2, max_seq=64, seed=0, frozen=True, random_params=False):
     """A ToyLM at ``create``'s init, or with ``random_params`` every array moved at random.
 
     ``create`` zeroes every bias and sets every layernorm gain to one, so only
     the random variant reads those arrays with a visible effect.
     """
-    cfg = m.LMConfig(vocab_size=vocab, hidden=hidden, layers=layers, heads=heads,
-                     max_seq=max_seq)
+    cfg = m.LMConfig(hidden=hidden, layers=layers, heads=heads, max_seq=max_seq)
     lm = m.ToyLM.create(cfg, RngStream(seed).child("lm"))
     if random_params:
         rng = np.random.default_rng(seed)
@@ -126,7 +124,7 @@ def test_prompt_positions_shift_inputs():
     zero_prompt = np.zeros((1, k, lm.cfg.hidden))
     prompted = lm.forward(zero_prompt, lm.embed(ids), mask).value
     # a zero prompt still occupies positions, so logits must differ in general
-    assert prompted.shape == (1, k + 3, lm.cfg.vocab_size)
+    assert prompted.shape == (1, k + 3, m.VOCAB_WITH_SPECIALS)
     assert not np.allclose(prompted[0, k:], plain[0], atol=1e-6)
 
 
@@ -165,7 +163,7 @@ def test_sequence_overflow_raises():
 
 def test_loss_uniform_logits_is_log_vocab():
     # zero hidden state + tied head on a zeroed table gives exactly uniform
-    lm = make_lm(vocab=256)
+    lm = make_lm()
     for name in lm.params:
         lm.params[name] = np.zeros_like(lm.params[name])
     batch = simple_batch(
@@ -173,11 +171,11 @@ def test_loss_uniform_logits_is_log_vocab():
     )
     loss, count = lm.loss_on_batch(None, batch)
     assert count == 1
-    assert loss.value == pytest.approx(np.log(256.0), abs=1e-6)
+    assert loss.value == pytest.approx(np.log(258.0), abs=1e-6)
 
 
 def test_loss_near_certain_prediction_is_tiny():
-    lm = make_lm(vocab=256)
+    lm = make_lm()
     for name in lm.params:
         lm.params[name] = np.zeros_like(lm.params[name])
     lm.params["lnf.b"] = np.ones(lm.cfg.hidden)
@@ -250,7 +248,7 @@ def test_no_position_table_and_odd_head_dim_rejected():
 
 
 def test_end_to_end_prompt_gradcheck():
-    lm = make_lm(hidden=16, layers=1, vocab=64)
+    lm = make_lm(hidden=16, layers=1)
     ids = np.array([[3, 9, 12], [30, 2, 5]])
     attn = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
     loss_mask = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
@@ -267,7 +265,7 @@ def test_end_to_end_prompt_gradcheck():
 
 def test_pretraining_path_gradcheck_on_lm_params():
     # the embedding (looked up and tied to the head) and the rotated q and k
-    lm = make_lm(vocab=12, hidden=8, layers=1, heads=2, frozen=False, random_params=True)
+    lm = make_lm(hidden=8, layers=1, heads=2, frozen=False, random_params=True)
     batch = simple_batch([[1, 2, 3, 4], [5, 6, 7, 0]], attn=[[1, 1, 1, 1], [1, 1, 1, 0]])
     checked = ("emb", "l0.wq", "l0.wk")
 
@@ -367,7 +365,7 @@ def test_cached_generate_matches_full_prefix_oracle(k, max_new, first_eos):
         assert got[0] == [] and all(got[1:])
     # one LM-head row per example: the prefill's last real position, then each step
     assert len(calls) == len(steps)
-    assert all(c.shape == (len(ids), 1, lm.cfg.vocab_size) for c in calls)
+    assert all(c.shape == (len(ids), 1, m.VOCAB_WITH_SPECIALS) for c in calls)
     # a cached prefill matches an uncached forward at every real position
     full = lm.forward(prompt, lm.embed(ids), attn).value
     cache = m.KVCache(lm.cfg, len(ids), k + ids.shape[1])
@@ -429,7 +427,7 @@ def test_inference_records_no_graph():
 
 
 def test_frozen_prompt_gradient_equals_unfrozen():
-    frozen = make_lm(hidden=16, layers=2, vocab=64)
+    frozen = make_lm(hidden=16, layers=2)
     unfrozen = m.ToyLM(frozen.cfg, frozen.params, frozen=False)
     batch = simple_batch([[3, 9, 12, 7], [30, 2, 5, 1]], attn=[[1, 1, 1, 1], [1, 1, 1, 0]])
     p0 = np.random.default_rng(1).normal(size=(2, 3, 16)) * 0.1
@@ -577,9 +575,9 @@ def test_pruned_loss_matches_full_row_oracle(kind, random_params, frozen):
 
         loss, count, logits_shape, grads = run(pruned=True)
         want_loss, want_count, want_logits_shape, want_grads = run(pruned=False)
-        assert logits_shape == (len(ids), rows, lm.cfg.vocab_size)
+        assert logits_shape == (len(ids), rows, m.VOCAB_WITH_SPECIALS)
         width = provider.prompt_length + ids.shape[1]
-        assert want_logits_shape == (len(ids), width, lm.cfg.vocab_size)
+        assert want_logits_shape == (len(ids), width, m.VOCAB_WITH_SPECIALS)
         assert count == want_count == int(loss_mask.sum())
         assert_rel_close(loss.value, want_loss.value, "loss")
         assert set(grads) == set(want_grads)

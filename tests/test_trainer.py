@@ -17,7 +17,7 @@ from test_autodiff import traced_peak
 
 @pytest.fixture(scope="module")
 def lm():
-    cfg = LMConfig(vocab_size=258, hidden=32, layers=1, heads=2, max_seq=64)
+    cfg = LMConfig(hidden=32, layers=1, heads=2, max_seq=64)
     model = ToyLM.create(cfg, RngStream(11).child("lm"), init_std=0.05)
     model.freeze()
     return model
