@@ -1,11 +1,13 @@
 """OpenBLAS's thread count, read and set through the library numpy loaded.
 
-Pretraining runs each batch as two row parts on two threads, so its matmuls
-must each run on one BLAS thread: an OpenBLAS that also spreads every call
-over the cores runs twice as many busy threads as there are cores. A
-200-step ``promptmoe pretrain-base`` on a 2-core Xeon took 21-28 s that way
-and 13-15 s with OpenBLAS on one thread. ``one_thread`` sets OpenBLAS to one
-thread for a block and restores its count after. The library is found among
+Pretraining runs each batch, and tuning each micro-batch, as two row parts
+on two threads (``trainer.in_parts``), so their matmuls must each run on one
+BLAS thread: an OpenBLAS that also spreads every call over the cores runs
+twice as many busy threads as there are cores. A 200-step ``promptmoe
+pretrain-base`` on a 2-core Xeon took 21-28 s that way and 13-15 s with
+OpenBLAS on one thread. ``one_thread`` sets OpenBLAS to one thread for a
+block and restores its count after; ``trainer.part_pool`` holds it for
+the whole of ``trainer.train`` and ``pretrain.pretrain_base``. The library is found among
 the process's mapped files, where perfbench's environment manifest looks for
 it too; where there is no OpenBLAS to find (not Linux, or numpy on another
 BLAS), nothing changes.

@@ -73,31 +73,42 @@ def save_jsonl(path, examples):
 
 
 def load_jsonl(path):
+    """The examples of a JSONL file; DataError naming ``path`` if any line is bad.
+
+    A file that cannot be read as UTF-8 text (missing, a directory, other
+    bytes) is a DataError too.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     examples = []
     seen = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: not valid JSON: {e}") from None
-            if not isinstance(rec, dict):
-                raise DataError(f"{path}:{lineno}: not a JSON object")
-            missing = set(JSONL_KEYS) - rec.keys()
-            if missing:
-                raise DataError(f"{path}:{lineno}: missing keys {sorted(missing)}")
-            bad = [k for k in JSONL_KEYS if not isinstance(rec[k], str)]
-            if bad:
-                raise DataError(f"{path}:{lineno}: {bad} must be strings")
-            if not rec["target"]:
-                raise DataError(f"{path}:{lineno}: empty target")
-            if rec["id"] in seen:
-                raise DataError(f"{path}:{lineno}: duplicate id {rec['id']!r}")
-            seen.add(rec["id"])
-            examples.append(Example(rec["input"], rec["target"], rec["task"], rec["id"]))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{lineno}: not valid JSON: {e}") from None
+        if not isinstance(rec, dict):
+            raise DataError(f"{path}:{lineno}: not a JSON object")
+        missing = set(JSONL_KEYS) - rec.keys()
+        if missing:
+            raise DataError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+        bad = [k for k in JSONL_KEYS if not isinstance(rec[k], str)]
+        if bad:
+            raise DataError(f"{path}:{lineno}: {bad} must be strings")
+        if not rec["target"]:
+            raise DataError(f"{path}:{lineno}: empty target")
+        if rec["id"] in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {rec['id']!r}")
+        seen.add(rec["id"])
+        examples.append(Example(rec["input"], rec["target"], rec["task"], rec["id"]))
     return examples
 
 

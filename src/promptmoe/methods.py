@@ -167,8 +167,17 @@ class Provider:
     def param_count(self):
         return sum(a.size for a in self.param_arrays().values())
 
-    def prompt_node(self, lm, batch, rng=None, training=False, forced=None):
-        """(b, t', h) prompt node and the batch's ``Routing`` (None without a router)."""
+    def training_noise(self, rng, b):
+        """The router noise a b-row training batch draws from ``rng``; None without a router."""
+        if self.router_w is None:
+            return None
+        return rt.draw_noise(rng, b, self.router_w.shape[0], self.cfg)
+
+    def prompt_node(self, lm, batch, rng=None, training=False, forced=None, noise=None):
+        """(b, t', h) prompt node and the batch's ``Routing`` (None without a router).
+
+        ``rng``, ``training``, ``forced`` and ``noise`` go to ``router.route_batch``.
+        """
         if self.router_w is None:
             weights, routing = ad.const(np.ones((batch.size, 1))), None
         else:
@@ -180,6 +189,7 @@ class Provider:
                 rng=rng,
                 training=training,
                 forced=forced,
+                noise=noise,
             )
         mixed = ad.expert_mix(weights, ad.leaf(self.stack, self.stack_name))  # weighted sum first
         if self.proj is None:
@@ -201,9 +211,11 @@ def build(cfg, lm, rng):
     return Provider(cfg, stack, proj, w, b)
 
 
-def loss_on_batch(provider, lm, batch, rng=None, training=False, forced=None):
+def loss_on_batch(provider, lm, batch, rng=None, training=False, forced=None, noise=None):
     """(summed loss node, token count, ``Routing`` or None) for one batch."""
-    prompt, routing = provider.prompt_node(lm, batch, rng=rng, training=training, forced=forced)
+    prompt, routing = provider.prompt_node(
+        lm, batch, rng=rng, training=training, forced=forced, noise=noise
+    )
     loss, count = lm.loss_on_batch(prompt, batch)
     return loss, count, routing
 

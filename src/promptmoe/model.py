@@ -98,6 +98,16 @@ class Batch:
     def size(self):
         return self.token_ids.shape[0]
 
+    def take(self, rows):
+        """The batch of rows ``rows`` (a slice), at this batch's width."""
+        return Batch(
+            token_ids=self.token_ids[rows],
+            attn_mask=self.attn_mask[rows],
+            loss_mask=self.loss_mask[rows],
+            tasks=self.tasks[rows],
+            ids=self.ids[rows],
+        )
+
 
 class ToyLM:
     def __init__(self, cfg, params, frozen=True):
@@ -327,6 +337,11 @@ class ToyLM:
         """
         logits = self.forward_tokens(batch.token_ids, batch.attn_mask)
         return (*self._shifted_nll(logits, batch), logits)
+
+    @classmethod
+    def scored_count(cls, batch, k):
+        """How many positions ``loss_on_batch`` scores for ``batch`` behind a k-row prompt."""
+        return int(cls._shifted_targets(batch, k)[1].sum())
 
     def _shifted_nll(self, logits, batch):
         k = logits.value.shape[1] - batch.token_ids.shape[1]

@@ -22,8 +22,8 @@ from .data import ANSWER_PREFIX, LETTERS, SEPARATOR, pad_right, rand_span
 from .errors import ConfigError, NumericalError
 from .linalg import RngStream
 from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
-from .trainer import AdamWState, adamw_step, read_npz, write_npz
-from . import autodiff as ad, blas
+from .trainer import AdamWState, adamw_step, in_parts, part_pool, read_npz, row_parts, write_npz
+from . import autodiff as ad
 
 TASK_MARKERS = ("copy", "reverse")  # reserved for answer-less format docs
 DOC_MIX = (
@@ -197,49 +197,22 @@ def pretrain_lr(step, pcfg):
     return pcfg.lr * (1.0 - 0.9 * frac)
 
 
-# a pretraining batch runs as this many fixed row parts, the first in the
-# caller and the others on worker threads; a constant, never the core count,
-# so a base is bitwise the same on every machine
-STEP_PARTS = 2
-
-
 def _part_forward(lm, batch, rows, step):
     """(summed token loss node, token count, logits node) of ``batch``'s rows ``rows``."""
-    part = Batch(
-        token_ids=batch.token_ids[rows],
-        attn_mask=batch.attn_mask[rows],
-        loss_mask=batch.loss_mask[rows],
-    )
-    loss, count, logits = lm.loss_on_tokens(part)
+    loss, count, logits = lm.loss_on_tokens(batch.take(rows))
     if not np.isfinite(loss.value):
         raise NumericalError(f"pretraining loss non-finite at step {step}")
     return loss, count, logits
 
 
-def _in_parts(pool, fn, items):
-    """``[fn(item) for item in items]``, the first in the caller and the rest on ``pool``.
-
-    Returns once every call has finished, so none outlives it; an exception
-    re-raises in the caller, the caller's own first.
-    """
-    futures = [pool.submit(fn, item) for item in items[1:]]
-    try:
-        first = fn(items[0])
-    finally:
-        for future in futures:
-            future.exception()  # waits
-    return [first] + [future.result() for future in futures]
-
-
 def _pretrain_step(lm, batch, state, lr, step, pool):
     """One AdamW step on every weight; returns the mean token loss.
 
-    The batch rows split into ``STEP_PARTS`` fixed contiguous parts (a part
-    left empty is dropped, so a one-row batch runs whole), part 0 in the
-    caller and the others on ``pool``'s workers. Every part runs its
-    forward, then every part its backward, each with its loss scaled by one
-    over the whole batch's token count, and the gradients are summed in part
-    order into new arrays. The sum equals one whole-batch backward up to
+    The batch rows split into ``trainer.row_parts``' fixed contiguous parts,
+    part 0 in the caller and the others on ``pool``'s workers
+    (``trainer.in_parts``). Every part runs its forward, then every part its
+    backward, each with its loss scaled by one over the whole batch's token
+    count, and the gradients are summed in part order into new arrays. The sum equals one whole-batch backward up to
     summation order and is the same on every run.
 
     A part ends its forward holding its graph, logits and saved dlogits,
@@ -251,9 +224,9 @@ def _pretrain_step(lm, batch, state, lr, step, pool):
     above it. The graphs and gradients live only in this call, so they are
     freed before the next step's forward runs.
     """
-    bounds = [batch.size * i // STEP_PARTS for i in range(STEP_PARTS + 1)]
-    parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    forwards = _in_parts(pool, lambda rows: _part_forward(lm, batch, rows, step), parts)
+    forwards = in_parts(
+        pool, lambda rows: _part_forward(lm, batch, rows, step), row_parts(batch.size)
+    )
     count = max(sum(count for _, count, _ in forwards), 1)
     losses = [loss for loss, _, _ in forwards]
     del forwards  # the logits
@@ -264,7 +237,7 @@ def _pretrain_step(lm, batch, state, lr, step, pool):
         return ad.backward(ad.scale(loss, 1.0 / count))
 
     grads = {}
-    for part in _in_parts(pool, backward, range(len(losses))):
+    for part in in_parts(pool, backward, range(len(losses))):
         for name, g in part.items():
             name = name.removeprefix("lm.")
             grads[name] = g if name not in grads else grads[name] + g
@@ -275,12 +248,10 @@ def _pretrain_step(lm, batch, state, lr, step, pool):
 def pretrain_base(pcfg, log_every=0, log_fn=print):
     """Train a fresh model on the synthetic corpus and freeze it.
 
-    The step's worker threads live only inside this call: they are joined
-    when it returns or raises. OpenBLAS runs on one thread for the call
-    (``blas.one_thread``), as each part's matmuls assume.
+    The step's worker threads (``trainer.part_pool``) live only inside this
+    call: they are joined when it returns or raises. OpenBLAS runs on one
+    thread for the call, as each part's matmuls assume.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only pretraining starts threads
-
     lm = ToyLM.create(pcfg.lm_config(), RngStream(pcfg.seed).child("lm_init"), pcfg.init_std)
     docs = gen_corpus(pcfg.docs, pcfg.seed)
     state = AdamWState(lm.params)
@@ -288,7 +259,7 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
     last = float("nan")
     pack = min(pcfg.pack_len, pcfg.max_seq)
     per_row = pack // 8 + 2  # enough docs to overfill any row
-    with blas.one_thread(), ThreadPoolExecutor(STEP_PARTS - 1, thread_name_prefix="pretrain-part") as pool:
+    with part_pool("pretrain-part") as pool:
         for step in range(1, pcfg.steps + 1):
             idx = root.child("batch", step).integers(
                 0, len(docs), (pcfg.batch_size, per_row)

@@ -4,6 +4,10 @@ The base model never updates; only the provider's arrays do, in place.
 Reproducibility comes from stateless RNG streams keyed by (seed, purpose,
 step, micro-step): a resumed run re-derives exactly the draws an
 uninterrupted run would have made, so trajectories match bitwise.
+
+Each micro-batch runs as ``STEP_PARTS`` fixed row parts on as many threads
+(``in_parts``), as each pretraining batch does; the part gradients are added
+in part order, so a run is the same on every machine and thread timing.
 """
 
 import contextlib
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
+from . import blas, kernels
 from . import methods as mt
 from .errors import ConfigError, NumericalError
 from .linalg import RngStream
@@ -103,6 +107,51 @@ def adamw_step(params, grads, state, lr):
     return True
 
 
+# a tuning micro-batch or pretraining batch runs as this many fixed row parts,
+# the first in the caller and the others on worker threads; a constant, never
+# the core count, so a run is bitwise the same on every machine
+STEP_PARTS = 2
+
+
+def row_parts(size):
+    """The ``STEP_PARTS`` fixed contiguous row slices of a ``size``-row batch.
+
+    A part left empty is dropped, so a one-row batch runs whole.
+    """
+    bounds = [size * i // STEP_PARTS for i in range(STEP_PARTS + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+@contextlib.contextmanager
+def part_pool(name):
+    """The worker pool ``in_parts`` runs on, with OpenBLAS on one thread for the block.
+
+    Each part's matmuls assume one BLAS thread (``blas.one_thread``). The
+    workers are joined when the block returns or raises.
+    """
+    import concurrent.futures  # only tuning and pretraining start threads; eval imports none
+
+    with blas.one_thread(), concurrent.futures.ThreadPoolExecutor(
+        STEP_PARTS - 1, thread_name_prefix=name
+    ) as pool:
+        yield pool
+
+
+def in_parts(pool, fn, items):
+    """``[fn(item) for item in items]``, the first in the caller and the rest on ``pool``.
+
+    Returns once every call has finished, so none outlives it; an exception
+    re-raises in the caller, the caller's own first.
+    """
+    futures = [pool.submit(fn, item) for item in items[1:]]
+    try:
+        first = fn(items[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits
+    return [first] + [future.result() for future in futures]
+
+
 @dataclass
 class TrainResult:
     metrics: list
@@ -113,7 +162,9 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
     """Run optimizer steps start_step+1 .. cfg.steps.
 
     ``batch_fn(step, micro)`` must be a pure function of its arguments so
-    resumed runs replay the identical data order.
+    resumed runs replay the identical data order; it is called in the
+    calling thread, in step and micro-batch order. The micro-batches' part
+    workers (``part_pool``) live only inside this call.
     """
     params = provider.param_arrays()
     if sum(p.size for p in params.values()) == 0:
@@ -125,8 +176,8 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
     n_experts = provider.stack.shape[0]
 
     metrics = []
-    sink = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
-    try:
+    log = open(metrics_path, "a", encoding="utf-8") if metrics_path else contextlib.nullcontext()
+    with log as sink, part_pool("train-part") as pool:
         for step in range(start_step + 1, cfg.steps + 1):
             accum = {}
             loss_total = 0.0
@@ -135,14 +186,15 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
             step_load = np.zeros(n_experts)
             for micro in range(cfg.grad_accum):
                 batch = batch_fn(step, micro)
-                loss, count, routing = _accumulate_micro_batch(
-                    provider, lm, batch, root.child("noise", step, micro), accum, step
+                loss, count, routings = _accumulate_micro_batch(
+                    provider, lm, batch, root.child("noise", step, micro), accum, step, pool
                 )
                 loss_total += loss
                 token_total += count
-                if routing is not None:
-                    step_counts += routing.mask.sum(axis=0)
-                    step_load += routing.weights.sum(axis=0)
+                for routing in routings:
+                    if routing is not None:
+                        step_counts += routing.mask.sum(axis=0)
+                        step_load += routing.weights.sum(axis=0)
             for name in accum:
                 accum[name] /= cfg.grad_accum
             grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in accum.values())))
@@ -160,29 +212,51 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
             metrics.append(record)
             if sink:
                 sink.write(json.dumps(record) + "\n")
-    finally:
-        if sink:
-            sink.close()
     if lm.param_hash() != base_hash:
         raise NumericalError("frozen base model changed during training")
     return TrainResult(metrics, state)
 
 
-def _accumulate_micro_batch(provider, lm, batch, noise_rng, accum, step):
-    """Add one micro-batch's gradients into ``accum``; returns (summed loss, count, routing).
+def _accumulate_micro_batch(provider, lm, batch, noise_rng, accum, step, pool):
+    """Add one micro-batch's gradients into ``accum``; returns (summed loss, count, routings).
 
-    The loss graph and its saved arrays live only in this call, so they are
-    freed before the next micro-batch's forward runs.
+    The rows split into fixed parts (``row_parts``), part 0 in the caller
+    and the others on ``pool``. The router noise is drawn once for the
+    whole micro-batch and each part routes with its own rows of it, so the
+    routing is that of one whole-batch route. Each part runs its forward and
+    backward with its loss scaled by one over the whole micro-batch's scored
+    token count (``ToyLM.scored_count``), and the part gradients are added in
+    part order: one whole-batch backward up to summation order, the same on
+    every run. ``routings`` holds each part's ``Routing`` (None without a
+    router), in part order.
+
+    The parts do not wait for each other between forward and backward, so
+    the micro-batch can peak at the two half-batch peaks together, which at
+    the trainer tests' widths is 0.98 of one whole-batch forward and
+    backward. A part's graph and its saved
+    arrays live only in its own call, so they are freed before the next
+    micro-batch's forward runs.
     """
-    loss, count, routing = mt.loss_on_batch(provider, lm, batch, rng=noise_rng, training=True)
-    if not np.isfinite(loss.value):
-        raise NumericalError(f"non-finite loss at step {step} on batch ids {batch.ids[:4]}")
-    for name, g in ad.backward(ad.scale(loss, 1.0 / max(count, 1))).items():
-        if name in accum:
-            accum[name] += g
-        else:
-            accum[name] = g.copy()
-    return float(loss.value), count, routing
+    noise = provider.training_noise(noise_rng, batch.size)
+    count = lm.scored_count(batch, provider.prompt_length)
+
+    def run_part(rows):
+        part = batch.take(rows)
+        loss, _, routing = mt.loss_on_batch(
+            provider, lm, part, training=True, noise=None if noise is None else noise[rows]
+        )
+        if not np.isfinite(loss.value):
+            raise NumericalError(f"non-finite loss at step {step} on batch ids {part.ids[:4]}")
+        return float(loss.value), ad.backward(ad.scale(loss, 1.0 / max(count, 1))), routing
+
+    parts = in_parts(pool, run_part, row_parts(batch.size))
+    for _, grads, _ in parts:
+        for name, g in grads.items():
+            if name in accum:
+                accum[name] += g
+            else:
+                accum[name] = g.copy()
+    return sum(loss for loss, _, _ in parts), count, [routing for _, _, routing in parts]
 
 
 def write_npz(path, arrays):

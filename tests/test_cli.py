@@ -295,6 +295,24 @@ def test_bad_jsonl_is_exit_3(tiny_config, tmp_path, capsys):
         assert err.startswith("data error") and message in err
 
 
+def test_unreadable_data_file_is_exit_3(tiny_config, tmp_path, capsys):
+    # a missing file, a directory and a file that is not UTF-8 text
+    cache = str(tmp_path / "cache")
+    run_cli("train", "--config", tiny_config, "--seed", "3",
+            "--out", str(tmp_path / "run"), "--cache-dir", cache, "--quiet")
+    capsys.readouterr()
+    binary = tmp_path / "binary.jsonl"
+    binary.write_bytes(b"\xff\xfe{}\n")
+    for path in (tmp_path / "missing.jsonl", tmp_path, binary):
+        for command in ("eval", "inspect-routing"):
+            code = run_cli(command, "--config", tiny_config,
+                           "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+                           "--cache-dir", cache, "--data", str(path))
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error") and str(path) in err
+
+
 def test_pretrain_base_prints_cache_path(tiny_config, tmp_path, capsys):
     cache = str(tmp_path / "cache")
     assert run_cli("pretrain-base", "--config", tiny_config,

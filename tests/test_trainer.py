@@ -1,6 +1,7 @@
 """Optimizer math, schedules, accumulation equivalence, resume."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -298,3 +299,101 @@ def test_nonfinite_loss_reports_batch_ids(lm):
     batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
     with pytest.raises(NumericalError, match="step 1"):
         tr.train(provider, lm, tr.TrainConfig(steps=1, seed=1), batch_fn)
+
+
+# ---- micro-batch row parts ---------------------------------------------------
+
+class StopHere(Exception):
+    pass
+
+
+def test_train_threads_end_with_the_call(lm):
+    batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
+    cfg = tr.TrainConfig(steps=2, warmup_steps=1, seed=1)
+    before = threading.active_count()
+    tr.train(make_provider(lm), lm, cfg, batch_fn)
+    assert threading.active_count() == before
+
+    def stop_at_step_two(step, micro):
+        if step == 2:
+            raise StopHere
+        return batch_fn(step, micro)
+
+    with pytest.raises(StopHere):
+        tr.train(make_provider(lm), lm, cfg, stop_at_step_two)
+    assert threading.active_count() == before
+
+
+def test_worker_part_error_reraises_in_the_caller(lm, monkeypatch):
+    loss_on_batch = mt.loss_on_batch
+
+    def fail_off_main(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericalError("worker part failed")
+        return loss_on_batch(*args, **kwargs)
+
+    monkeypatch.setattr(mt, "loss_on_batch", fail_off_main)
+    batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
+    before = threading.active_count()
+    with pytest.raises(NumericalError, match="worker part failed"):
+        tr.train(make_provider(lm), lm, tr.TrainConfig(steps=1, seed=1), batch_fn)
+    assert threading.active_count() == before
+
+
+def spy_on_parts(monkeypatch):
+    """Record (ran in the main thread, part batch, routing) of every ``loss_on_batch`` call."""
+    calls = []
+    loss_on_batch = mt.loss_on_batch
+
+    def spy(provider, lm, batch, **kwargs):
+        out = loss_on_batch(provider, lm, batch, **kwargs)
+        calls.append((threading.current_thread() is threading.main_thread(), batch, out[2]))
+        return out
+
+    monkeypatch.setattr(mt, "loss_on_batch", spy)
+    return calls
+
+
+def test_parts_route_as_one_whole_batch(lm, monkeypatch):
+    batch = dt.build_batch(small_dataset()[:7], max_seq=48)  # parts of 3 and 4 rows
+    cfg = tr.TrainConfig(steps=1, warmup_steps=1, grad_accum=1, seed=4)
+    calls = spy_on_parts(monkeypatch)
+    tr.train(make_provider(lm), lm, cfg, lambda step, micro: batch)
+    calls.sort(key=lambda call: not call[0])  # the caller's part first
+    assert [(on_main, part.ids) for on_main, part, _ in calls] == [
+        (True, batch.ids[:3]), (False, batch.ids[3:])
+    ]
+    monkeypatch.undo()
+    _, _, whole = mt.loss_on_batch(
+        make_provider(lm), lm, batch, rng=RngStream(4).child("noise", 1, 0), training=True
+    )
+    for field in ("noisy_logits", "mask"):
+        got = np.concatenate([getattr(routing, field) for _, _, routing in calls])
+        assert np.array_equal(got, getattr(whole, field)), field
+
+
+def test_split_micro_batch_matches_one_whole_batch_backward(lm, monkeypatch):
+    batch = dt.build_batch(small_dataset()[:7], max_seq=48)
+    provider = make_provider(lm)
+    loss, count, _ = mt.loss_on_batch(
+        provider, lm, batch, rng=RngStream(4).child("noise", 1, 0), training=True
+    )
+    want = ad.backward(ad.scale(loss, 1.0 / count))
+    seen = {}
+    monkeypatch.setattr(tr, "adamw_step", lambda params, grads, state, lr: seen.update(grads))
+    cfg = tr.TrainConfig(steps=1, warmup_steps=1, grad_accum=1, seed=4)
+    (rec,) = tr.train(provider, lm, cfg, lambda step, micro: batch).metrics
+    assert rec["loss"] == pytest.approx(float(loss.value) / count, rel=1e-12)
+    assert sorted(seen) == sorted(want)
+    for name, g in want.items():
+        np.testing.assert_allclose(seen[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+
+
+def test_one_row_micro_batch_runs_whole(lm, monkeypatch):
+    assert tr.row_parts(1) == [slice(0, 1)]
+    batch = dt.build_batch(small_dataset()[:1], max_seq=48)
+    calls = spy_on_parts(monkeypatch)
+    cfg = tr.TrainConfig(steps=1, warmup_steps=1, grad_accum=1, seed=4)
+    (rec,) = tr.train(make_provider(lm), lm, cfg, lambda step, micro: batch).metrics
+    assert [(on_main, part.size) for on_main, part, _ in calls] == [(True, 1)]
+    assert np.isfinite(rec["loss"]) and sum(rec["expert_counts"]) == 1
