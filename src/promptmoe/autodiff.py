@@ -222,6 +222,25 @@ def matmul(a, b):
     return Node(out, (a, b), vjp)
 
 
+def row_matmul(a, b):
+    """(m, h) @ (h, n), each output row computed on its own.
+
+    A gemm may round a row differently depending on how many rows the
+    product has; this einsum gives every row the same bits in any batch.
+    """
+    a, b = as_node(a), as_node(b)
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
+        raise ShapeError(f"row_matmul expects (m, h) @ (h, n), got {a.value.shape} @ {b.value.shape}")
+    av, bv, sa, sb = _bilinear_saves(a, b)
+
+    def vjp(g):
+        da = None if sa is None else np.einsum("mn,hn->mh", g, bv)
+        db = None if sb is None else np.einsum("mh,mn->hn", av, g)
+        return da, db
+
+    return Node(np.einsum("mh,hn->mn", a.value, b.value), (a, b), vjp)
+
+
 def transpose(a, axes):
     a = as_node(a)
     inv = np.argsort(axes)

@@ -7,10 +7,11 @@ twice as many busy threads as there are cores. A 200-step ``promptmoe
 pretrain-base`` on a 2-core Xeon took 21-28 s that way and 13-15 s with
 OpenBLAS on one thread. ``one_thread`` sets OpenBLAS to one thread for a
 block and restores its count after; ``trainer.part_pool`` holds it for
-the whole of ``trainer.train`` and ``pretrain.pretrain_base``. The library is found among
-the process's mapped files, where perfbench's environment manifest looks for
-it too; where there is no OpenBLAS to find (not Linux, or numpy on another
-BLAS), nothing changes.
+the whole of ``trainer.train`` and ``pretrain.pretrain_base``. The library
+is found among the process's mapped files, where perfbench's environment
+manifest looks for it too; where there is no OpenBLAS to find (not Linux,
+or numpy on another BLAS), nothing changes, and each part's matmuls run at
+whatever thread count the environment sets.
 """
 
 import contextlib

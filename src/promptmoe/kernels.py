@@ -14,27 +14,7 @@ the mask is never expanded to the scores' shape, and masked entries are
 never exponentiated.
 """
 
-import contextlib
-
 import numpy as np
-
-# numpy >= 2 gives every broadcasting ufunc call a buffer of min(size,
-# bufsize) elements: 64 KB at the default bufsize of 8192. The NLL's row-wise
-# ops run with 512-element (4 KB) buffers instead: the values are the same,
-# a (160, 258) call went from 167 to 134 us on a 2-core Xeon, and two
-# training parts at their memory peak, which is this kernel, do not hold two
-# 64 KB buffers at once.
-ROW_OP_BUFSIZE = 512
-
-
-@contextlib.contextmanager
-def _small_ufunc_buffers():
-    """Run the block's ufunc calls with ``ROW_OP_BUFSIZE``-element buffers (this thread only)."""
-    before = np.setbufsize(ROW_OP_BUFSIZE)
-    try:
-        yield
-    finally:
-        np.setbufsize(before)
 
 
 def active_backend() -> str:
@@ -116,17 +96,15 @@ def nll_fwd_bwd(logits, targets, mask):
     """
     n, _ = logits.shape
     m = logits.max(axis=1, keepdims=True)
-    with _small_ufunc_buffers():  # elementwise only: reductions keep numpy's blocking
-        dlogits = logits - m
+    dlogits = logits - m
     np.exp(dlogits, out=dlogits)
     z = dlogits.sum(axis=1, keepdims=True)
     logz = (m + np.log(z))[:, 0]
     rows = np.arange(n)
     per_row = (logz - logits[rows, targets]) * mask
-    with _small_ufunc_buffers():
-        dlogits /= z
-        dlogits[rows, targets] -= 1.0
-        dlogits *= mask[:, None]
+    dlogits /= z
+    dlogits[rows, targets] -= 1.0
+    dlogits *= mask[:, None]
     return float(per_row.sum()), dlogits
 
 

@@ -169,14 +169,13 @@ class Provider:
 
     def training_noise(self, rng, b):
         """The router noise a b-row training batch draws from ``rng``; None without a router."""
-        if self.router_w is None:
-            return None
-        return rt.draw_noise(rng, b, self.router_w.shape[0], self.cfg)
+        return None if self.router_w is None else rt.draw_noise(rng, b, self.cfg)
 
-    def prompt_node(self, lm, batch, rng=None, training=False, forced=None, noise=None):
+    def prompt_node(self, lm, batch, training=False, noise=None, forced=None):
         """(b, t', h) prompt node and the batch's ``Routing`` (None without a router).
 
-        ``rng``, ``training``, ``forced`` and ``noise`` go to ``router.route_batch``.
+        ``training``, ``noise`` (from ``training_noise``) and ``forced`` go to
+        ``router.route_batch``.
         """
         if self.router_w is None:
             weights, routing = ad.const(np.ones((batch.size, 1))), None
@@ -186,10 +185,9 @@ class Provider:
                 ad.leaf(self.router_w, "router.W"),
                 ad.leaf(self.router_b, "router.b"),
                 self.cfg,
-                rng=rng,
                 training=training,
-                forced=forced,
                 noise=noise,
+                forced=forced,
             )
         mixed = ad.expert_mix(weights, ad.leaf(self.stack, self.stack_name))  # weighted sum first
         if self.proj is None:
@@ -211,10 +209,10 @@ def build(cfg, lm, rng):
     return Provider(cfg, stack, proj, w, b)
 
 
-def loss_on_batch(provider, lm, batch, rng=None, training=False, forced=None, noise=None):
+def loss_on_batch(provider, lm, batch, training=False, noise=None, forced=None):
     """(summed loss node, token count, ``Routing`` or None) for one batch."""
     prompt, routing = provider.prompt_node(
-        lm, batch, rng=rng, training=training, forced=forced, noise=noise
+        lm, batch, training=training, noise=noise, forced=forced
     )
     loss, count = lm.loss_on_batch(prompt, batch)
     return loss, count, routing

@@ -58,41 +58,36 @@ def init_router(n, h, rng, w_std=1.0):
     return np.asarray(rng.normal((n, h), std=w_std)), np.zeros(n)
 
 
-def draw_noise(rng, b, n, cfg):
+def draw_noise(rng, b, cfg):
     """The (b, n) training noise eps of a b-row batch, drawn per example from ``rng``."""
-    return np.asarray(rng.normal((b, n), std=cfg.sigma))
+    return np.asarray(rng.normal((b, cfg.num_experts), std=cfg.sigma))
 
 
-def route_batch(mu, w_node, b_node, cfg, rng=None, training=False, forced=None, noise=None):
+def route_batch(mu, w_node, b_node, cfg, training=False, noise=None, forced=None):
     """Route a batch of examples; the one router for training and inference.
 
     ``mu`` is the raw (b, h) mean-embedding matrix (the base model is
     frozen, so no gradient flows into it); ``w_node`` and ``b_node`` hold
     the (n, h) and (n,) router parameters; ``cfg`` is the
-    ``methods.MethodConfig`` whose ``sigma``, ``k``, ``selective`` and
-    ``probationary`` apply. Training noise is ``noise``, rows of an array
-    ``draw_noise`` drew, or else drawn from ``rng`` by ``draw_noise``, so a
-    batch routed in row parts with the rows of one whole-batch draw routes
-    as the whole batch does. Returns the (b, n) straight-through weight
-    node and the batch's ``Routing``.
+    ``methods.MethodConfig`` whose ``k``, ``selective`` and ``probationary``
+    apply. In training the logits take the (b, n) noise eps ``noise`` that
+    ``draw_noise`` drew. Returns the (b, n) straight-through weight node and
+    the batch's ``Routing``.
+
+    Each row's logits are computed on their own (``autodiff.row_matmul``),
+    so a batch routed in row parts, each with its rows of ``noise``, routes
+    bit for bit as the whole batch does.
 
     ``forced`` replays an earlier ``Routing``: its mask and renorm constants
     are reused instead of recomputed, which is how gradient checks hold the
     non-differentiable selection fixed while probing the smooth part.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    w_node = ad.as_node(w_node)
-    bsize, h = mu.shape
-    n = w_node.value.shape[0]
-    # mu @ w.T as an einsum, whose rows do not depend on the row count:
-    # OpenBLAS's gemm rounds the rows of a product of under 4 rows differently
-    w_stack = ad.reshape(ad.transpose(w_node, (1, 0)), (h, 1, n))
-    logits = ad.add(ad.reshape(ad.expert_mix(ad.const(mu), w_stack), (bsize, n)), b_node)
+    logits = ad.add(ad.row_matmul(ad.const(mu), ad.transpose(w_node, (1, 0))), b_node)
+    bsize, n = logits.value.shape
     if training:
         if noise is None:
-            if rng is None:
-                raise ConfigError("training-time routing needs an rng or noise for the noise draw")
-            noise = draw_noise(rng, bsize, n, cfg)
+            raise ConfigError("training-time routing needs its noise (draw_noise)")
         noisy = ad.mul(logits, ad.const(1.0 + noise))
     else:
         noisy = logits

@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,17 +123,26 @@ def row_parts(size):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
+# numpy gives every broadcasting ufunc call a scratch buffer of up to this
+# many elements per thread (numpy's default is 8192, 64 KB); the workers' are
+# smaller, so parts running at once hold no more of it than one whole batch
+WORKER_UFUNC_BUFSIZE = 2048
+
+
 @contextlib.contextmanager
 def part_pool(name):
     """The worker pool ``in_parts`` runs on, with OpenBLAS on one thread for the block.
 
     Each part's matmuls assume one BLAS thread (``blas.one_thread``). The
-    workers are joined when the block returns or raises.
+    workers run with ``WORKER_UFUNC_BUFSIZE``-element ufunc buffers, which
+    change no value: the buffer only sets how an elementwise op is chunked.
+    The workers are joined when the block returns or raises.
     """
-    import concurrent.futures  # only tuning and pretraining start threads; eval imports none
-
-    with blas.one_thread(), concurrent.futures.ThreadPoolExecutor(
-        STEP_PARTS - 1, thread_name_prefix=name
+    with blas.one_thread(), ThreadPoolExecutor(
+        STEP_PARTS - 1,
+        thread_name_prefix=name,
+        initializer=np.setbufsize,
+        initargs=(WORKER_UFUNC_BUFSIZE,),
     ) as pool:
         yield pool
 
@@ -231,11 +241,10 @@ def _accumulate_micro_batch(provider, lm, batch, noise_rng, accum, step, pool):
     router), in part order.
 
     The parts do not wait for each other between forward and backward, so
-    the micro-batch can peak at the two half-batch peaks together, which at
-    the trainer tests' widths is 0.98 of one whole-batch forward and
-    backward. A part's graph and its saved
-    arrays live only in its own call, so they are freed before the next
-    micro-batch's forward runs.
+    the micro-batch can peak at the two half-batch peaks together: at the
+    trainer tests' widths 0.98 of one whole-batch forward and backward. A
+    part's graph and its saved arrays live only in its own call, so they are
+    freed before the next micro-batch's forward runs.
     """
     noise = provider.training_noise(noise_rng, batch.size)
     count = lm.scored_count(batch, provider.prompt_length)

@@ -208,9 +208,10 @@ def test_routing_invariants(capsys):
     draws = 10_000 // n
     w0 = ad.leaf(np.zeros((n, 16)), "w")
     b0 = ad.leaf(np.ones(n), "b")
+    cfg = router_cfg(n, sigma=0.01, k=1)
     noisy_node, routing = rt.route_batch(
-        np.ones((draws, 16)), w0, b0, router_cfg(n, sigma=0.01, k=1),
-        rng=RngStream(0).child("noise"), training=True,
+        np.ones((draws, 16)), w0, b0, cfg,
+        training=True, noise=rt.draw_noise(RngStream(0).child("noise"), draws, cfg),
     )
     eps = routing.noisy_logits - 1.0  # logits are exactly 1
     std = float(eps.std())

@@ -49,6 +49,26 @@ def test_matmul_shape_errors():
         ad.matmul(ad.const(np.zeros(3)), ad.const(np.zeros((3, 2))))
 
 
+def test_row_matmul_gradcheck():
+    rng = np.random.default_rng(3)
+    p = {"a": rng.normal(size=(5, 4)), "b": rng.normal(size=(4, 3))}
+    assert fd(lambda v: proj(ad.row_matmul(ad.leaf(v["a"], "a"), ad.leaf(v["b"], "b"))), p) <= TOL
+    with pytest.raises(ShapeError):
+        ad.row_matmul(ad.const(np.zeros((2, 3))), ad.const(np.zeros((4, 2))))
+
+
+def test_row_matmul_rows_do_not_depend_on_the_row_count():
+    # every row slice's product is bit for bit the same rows of the whole product
+    rng = np.random.default_rng(4)
+    for h, n in ((16, 2), (64, 2), (64, 8), (256, 3)):
+        a, b = rng.normal(size=(16, h)), rng.normal(size=(h, n))
+        whole = ad.row_matmul(a, b).value
+        np.testing.assert_allclose(whole, a @ b, rtol=1e-12, atol=1e-12)
+        for lo in range(16):
+            for hi in range(lo + 1, 17):
+                assert np.array_equal(ad.row_matmul(a[lo:hi], b).value, whole[lo:hi]), (h, n, lo, hi)
+
+
 def test_add_mul_broadcast_gradcheck():
     rng = np.random.default_rng(3)
     p = {"x": rng.normal(size=(2, 4, 5)), "b": rng.normal(size=(5,)), "s": rng.normal(size=(4, 1))}

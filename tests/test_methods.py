@@ -131,7 +131,8 @@ def test_ptmoe_prompt_matches_compose_oracle(lm):
             p.stack[...] += np.random.default_rng(1).normal(size=p.stack.shape)
             for training in (False, True):
                 node, routing = p.prompt_node(
-                    lm, batch, rng=RngStream(2).child("noise"), training=training
+                    lm, batch, training=training,
+                    noise=p.training_noise(RngStream(2).child("noise"), batch.size),
                 )
                 for e, weights in enumerate(routing.weights):
                     want = compose(weights, p.stack, p.proj)
@@ -145,7 +146,8 @@ def test_prompt_node_matches_closed_form(lm, kind, training):
     p = make_provider(lm, kind, num_experts=2, rank=4, router_w_std=4.0)
     p.stack[...] += np.random.default_rng(1).normal(size=p.stack.shape)  # distinct experts
     batch = tiny_batch(["copy: q r\n", "3+3 (mod 10)\n", "zz\n"])
-    node, routing = p.prompt_node(lm, batch, rng=RngStream(2).child("noise"), training=training)
+    noise = p.training_noise(RngStream(2).child("noise"), batch.size)
+    node, routing = p.prompt_node(lm, batch, training=training, noise=noise)
     assert node.value.shape == (3, p.prompt_length, lm.cfg.hidden)
     assert (routing is None) == (kind in ("PT", "DPT"))
     for e in range(batch.size):
@@ -275,7 +277,8 @@ def test_backward_leaves_no_adjoint_on_constants(lm):
         [dt.Example("a b", "b", "copy_span", "g-0"), dt.Example("c d e f", "d e", "copy_span", "g-1")]
     )
     loss, count, _ = mt.loss_on_batch(
-        provider, lm, batch, rng=RngStream(5).child("noise"), training=True
+        provider, lm, batch, training=True,
+        noise=provider.training_noise(RngStream(5).child("noise"), batch.size),
     )
     grads = ad.backward(ad.scale(loss, 1.0 / count))
     assert set(grads) == set(provider.param_arrays())
@@ -356,7 +359,8 @@ def test_desk_micro_batch_graph_keeps_only_saved_arrays():
 
     def step():
         loss, count, _ = mt.loss_on_batch(
-            provider, lm, batch, rng=RngStream(1).child("noise"), training=True
+            provider, lm, batch, training=True,
+            noise=provider.training_noise(RngStream(1).child("noise"), batch.size),
         )
         return loss, count
 

@@ -597,7 +597,9 @@ def test_model_backward_writes_no_received_adjoint_and_keeps_leaf_grads_only(fro
     loss_mask, _ = LOSS_MASKS[0]
     attn = (RAGGED_IDS != m.PAD_ID).astype(float)
     batch = m.Batch(token_ids=RAGGED_IDS, attn_mask=attn, loss_mask=loss_mask * attn)
-    loss, _, _ = mt.loss_on_batch(provider, lm, batch, rng=RngStream(3), training=True)
+    loss, _, _ = mt.loss_on_batch(
+        provider, lm, batch, training=True, noise=provider.training_noise(RngStream(3), batch.size)
+    )
     received = snapshot_adjoints(loss)
     grads = ad.backward(loss)
     assert_adjoints_unwritten(received, loss)

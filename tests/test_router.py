@@ -29,8 +29,8 @@ def route_one(mu, w, b, cfg, rng=None, training=False):
         ad.const(w),
         ad.const(b),
         cfg,
-        rng=rng,
         training=training,
+        noise=None if rng is None else router.draw_noise(rng, 1, cfg),
     )
     return routing
 
@@ -247,7 +247,8 @@ def test_route_batch_selection_matches_per_example_oracle():
                     )
                     wn, got = router.route_batch(
                         mu, ad.const(w), ad.const(b), cfg,
-                        rng=RngStream(trial).child("noise", k), training=training,
+                        training=training,
+                        noise=router.draw_noise(RngStream(trial).child("noise", k), 6, cfg),
                     )
                     for e in range(mu.shape[0]):
                         mask, renorm = select_oracle(got.soft[e], cfg)
@@ -259,7 +260,9 @@ def test_route_batch_selection_matches_per_example_oracle():
                     other = dataclasses.replace(cfg, k=1, selective=not selective)
                     _, again = router.route_batch(
                         mu, ad.const(w), ad.const(b), other,
-                        rng=RngStream(trial).child("noise", k), training=training, forced=got,
+                        training=training,
+                        noise=router.draw_noise(RngStream(trial).child("noise", k), 6, other),
+                        forced=got,
                     )
                     assert again.mask is got.mask and again.renorm is got.renorm
                     assert np.array_equal(again.weights, got.weights)

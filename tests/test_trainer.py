@@ -215,7 +215,9 @@ def test_micro_batch_graph_is_freed_before_the_next_forward(lm):
     provider = make_provider(lm)
 
     def one_micro_batch():
-        loss, count, _ = mt.loss_on_batch(provider, lm, batch, rng=RngStream(1), training=True)
+        loss, count, _ = mt.loss_on_batch(
+            provider, lm, batch, training=True, noise=provider.training_noise(RngStream(1), batch.size)
+        )
         ad.backward(ad.scale(loss, 1.0 / count))
 
     cfg = tr.TrainConfig(steps=1, warmup_steps=1, grad_accum=2, seed=2)
@@ -364,8 +366,10 @@ def test_parts_route_as_one_whole_batch(lm, monkeypatch):
         (True, batch.ids[:3]), (False, batch.ids[3:])
     ]
     monkeypatch.undo()
+    provider = make_provider(lm)
     _, _, whole = mt.loss_on_batch(
-        make_provider(lm), lm, batch, rng=RngStream(4).child("noise", 1, 0), training=True
+        provider, lm, batch, training=True,
+        noise=provider.training_noise(RngStream(4).child("noise", 1, 0), batch.size),
     )
     for field in ("noisy_logits", "mask"):
         got = np.concatenate([getattr(routing, field) for _, _, routing in calls])
@@ -376,7 +380,8 @@ def test_split_micro_batch_matches_one_whole_batch_backward(lm, monkeypatch):
     batch = dt.build_batch(small_dataset()[:7], max_seq=48)
     provider = make_provider(lm)
     loss, count, _ = mt.loss_on_batch(
-        provider, lm, batch, rng=RngStream(4).child("noise", 1, 0), training=True
+        provider, lm, batch, training=True,
+        noise=provider.training_noise(RngStream(4).child("noise", 1, 0), batch.size),
     )
     want = ad.backward(ad.scale(loss, 1.0 / count))
     seen = {}
