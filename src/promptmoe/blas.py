@@ -1,7 +1,7 @@
 """OpenBLAS's thread count, read and set through the library numpy loaded.
 
 Pretraining runs each batch, and tuning each micro-batch, as two row parts
-on two threads (``trainer.in_parts``), so their matmuls must each run on one
+on two threads (``trainer.part_step``), so their matmuls must each run on one
 BLAS thread: an OpenBLAS that also spreads every call over the cores runs
 twice as many busy threads as there are cores. A 200-step ``promptmoe
 pretrain-base`` on a 2-core Xeon took 21-28 s that way and 13-15 s with

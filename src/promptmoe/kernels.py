@@ -2,7 +2,7 @@
 
 These are the loops the model, the SVD and the optimizer spend their
 numeric time in: cyclic Jacobi rotations, the masked attention softmax,
-the fused token NLL with its gradient, and the AdamW update. There is one
+the fused token NLL with its gradient, and the Adam update. There is one
 implementation of each, so results are bitwise reproducible for a given
 numpy/BLAS build and thread count.
 
@@ -108,12 +108,12 @@ def nll_fwd_bwd(logits, targets, mask):
     return float(per_row.sum()), dlogits
 
 
-def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps, weight_decay):
-    """One decoupled-weight-decay Adam update, in place on flat arrays."""
+def adamw_update(p, g, m, v, step, lr, beta1, beta2, eps):
+    """One Adam update (decoupled decay removed), in place on flat arrays."""
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * g * g
     mhat = m / (1.0 - beta1**step)
     vhat = v / (1.0 - beta2**step)
-    p -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p)
+    p -= lr * (mhat / (np.sqrt(vhat) + eps))

@@ -19,11 +19,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import ANSWER_PREFIX, LETTERS, SEPARATOR, pad_right, rand_span
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .linalg import RngStream
 from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
-from .trainer import AdamWState, adamw_step, in_parts, part_pool, read_npz, row_parts, write_npz
-from . import autodiff as ad
+from .trainer import AdamWState, adamw_step, part_pool, part_step, read_npz, write_npz
 
 TASK_MARKERS = ("copy", "reverse")  # reserved for answer-less format docs
 DOC_MIX = (
@@ -197,64 +196,21 @@ def pretrain_lr(step, pcfg):
     return pcfg.lr * (1.0 - 0.9 * frac)
 
 
-def _part_forward(lm, batch, rows, step):
-    """(summed token loss node, token count, logits node) of ``batch``'s rows ``rows``."""
-    loss, count, logits = lm.loss_on_tokens(batch.take(rows))
-    if not np.isfinite(loss.value):
-        raise NumericalError(f"pretraining loss non-finite at step {step}")
-    return loss, count, logits
-
-
-def _pretrain_step(lm, batch, state, lr, step, pool):
-    """One AdamW step on every weight; returns the mean token loss.
-
-    The batch rows split into ``trainer.row_parts``' fixed contiguous parts,
-    part 0 in the caller and the others on ``pool``'s workers
-    (``trainer.in_parts``). Every part runs its forward, then every part its
-    backward, each with its loss scaled by one over the whole batch's token
-    count, and the gradients are summed in part order into new arrays. The sum equals one whole-batch backward up to
-    summation order and is the same on every run.
-
-    A part ends its forward holding its graph, logits and saved dlogits,
-    and keeps the logits until every forward has finished, so the parts
-    stand at that level together at the join. Where no backward rule rises
-    above it, as at small widths, the step's peak memory then moves with
-    thread timing only by numpy's transient buffers in the last forward
-    ops; at the default widths the MLP and attention backward still rise
-    above it. The graphs and gradients live only in this call, so they are
-    freed before the next step's forward runs.
-    """
-    forwards = in_parts(
-        pool, lambda rows: _part_forward(lm, batch, rows, step), row_parts(batch.size)
-    )
-    count = max(sum(count for _, count, _ in forwards), 1)
-    losses = [loss for loss, _, _ in forwards]
-    del forwards  # the logits
-    mean = sum(float(loss.value) for loss in losses) / count
-
-    def backward(i):
-        loss, losses[i] = losses[i], None  # the part's graph lives only in this call
-        return ad.backward(ad.scale(loss, 1.0 / count))
-
-    grads = {}
-    for part in in_parts(pool, backward, range(len(losses))):
-        for name, g in part.items():
-            name = name.removeprefix("lm.")
-            grads[name] = g if name not in grads else grads[name] + g
-    adamw_step(lm.params, grads, state, lr)
-    return mean
-
-
 def pretrain_base(pcfg, log_every=0, log_fn=print):
     """Train a fresh model on the synthetic corpus and freeze it.
 
-    The step's worker threads (``trainer.part_pool``) live only inside this
+    Each step is one ``trainer.part_step`` on every weight, then one Adam
+    step (decoupled decay removed). The model's forward hands its logits
+    node to the step to hold until every part's forward has finished. The
+    step's worker threads (``trainer.part_pool``) live only inside this
     call: they are joined when it returns or raises. OpenBLAS runs on one
     thread for the call, as each part's matmuls assume.
     """
     lm = ToyLM.create(pcfg.lm_config(), RngStream(pcfg.seed).child("lm_init"), pcfg.init_std)
     docs = gen_corpus(pcfg.docs, pcfg.seed)
-    state = AdamWState(lm.params)
+    # keyed as the model's graph leaves name their gradients
+    params = {f"lm.{name}": p for name, p in lm.params.items()}
+    state = AdamWState(params)
     root = RngStream(pcfg.seed)
     last = float("nan")
     pack = min(pcfg.pack_len, pcfg.max_seq)
@@ -264,9 +220,17 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
             idx = root.child("batch", step).integers(
                 0, len(docs), (pcfg.batch_size, per_row)
             )
-            last = _pretrain_step(
-                lm, _doc_batch(docs, idx, pack), state, pretrain_lr(step, pcfg), step, pool
+            grads = {}
+            loss, count, _ = part_step(
+                pool,
+                _doc_batch(docs, idx, pack),
+                0,
+                lambda part, rows: lm.loss_on_tokens(part),
+                grads,
+                step,
             )
+            adamw_step(params, grads, state, pretrain_lr(step, pcfg))
+            last = loss / max(count, 1)
             if log_every and step % log_every == 0:
                 log_fn(f"pretrain step {step}/{pcfg.steps} loss {last:.4f}")
     lm.freeze()

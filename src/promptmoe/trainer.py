@@ -1,16 +1,18 @@
-"""AdamW training loop for the prompt-side parameters.
+"""Adam (decoupled decay removed) training loop for the prompt-side parameters.
 
 The base model never updates; only the provider's arrays do, in place.
 Reproducibility comes from stateless RNG streams keyed by (seed, purpose,
 step, micro-step): a resumed run re-derives exactly the draws an
 uninterrupted run would have made, so trajectories match bitwise.
 
-Each micro-batch runs as ``STEP_PARTS`` fixed row parts on as many threads
-(``in_parts``), as each pretraining batch does; the part gradients are added
-in part order, so a run is the same on every machine and thread timing.
+``part_step`` is the one batch step of tuning (once per micro-batch) and of
+pretraining (once per batch): ``STEP_PARTS`` fixed row parts on as many
+threads, every forward, a join, then every backward, with the part gradients
+added in part order, so a run is the same on every machine and thread timing.
 """
 
 import contextlib
+import functools
 import json
 import os
 import zipfile
@@ -24,9 +26,10 @@ from . import blas, kernels
 from . import methods as mt
 from .errors import ConfigError, NumericalError
 from .linalg import RngStream
+from .model import ToyLM
 
-# AdamW hyperparameters; every run, tuning and pretraining alike, uses these
-BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.0
+# Adam hyperparameters; every run, tuning and pretraining alike, uses these
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -103,7 +106,6 @@ def adamw_step(params, grads, state, lr):
             BETA1,
             BETA2,
             EPS,
-            WEIGHT_DECAY,
         )
     return True
 
@@ -162,6 +164,54 @@ def in_parts(pool, fn, items):
     return [first] + [future.result() for future in futures]
 
 
+def part_step(pool, batch, k, forward, grads, step):
+    """One batch's forward and backward as its ``row_parts`` on ``pool``.
+
+    ``forward(part, rows)`` runs the forward of ``part``, the batch's rows
+    ``rows``, and returns (summed loss node, result, *held). Every part runs
+    its forward (``in_parts``); once all have finished, what they hold is
+    dropped, and every part runs its backward with its loss scaled by one
+    over the whole batch's scored token count behind a k-row prompt
+    (``ToyLM.scored_count``). Holding to the join keeps the parts' memory at
+    the same level when the first backward starts, whatever the thread
+    timing. The part gradients are added into ``grads`` in part order: one
+    whole-batch backward up to summation order, the same on every run. A
+    part's graph lives only until its backward, so it is freed before the
+    caller's next forward.
+
+    Returns (summed loss, scored count, each part's result in part order);
+    a non-finite loss raises NumericalError naming ``step``.
+    """
+
+    def run_forward(rows):
+        part = batch.take(rows)
+        loss, result, *held = forward(part, rows)
+        if not np.isfinite(loss.value):
+            where = f" on batch ids {part.ids[:4]}" if part.ids else ""
+            raise NumericalError(f"non-finite loss at step {step}{where}")
+        return loss, result, held
+
+    forwards = in_parts(pool, run_forward, row_parts(batch.size))
+    losses = [loss for loss, _, _ in forwards]
+    results = [result for _, result, _ in forwards]
+    del forwards  # what the parts held, now that every forward has finished
+    total = sum(float(loss.value) for loss in losses)
+    count = ToyLM.scored_count(batch, k)
+    scale = 1.0 / max(count, 1)
+
+    def backward(i):
+        loss, losses[i] = losses[i], None  # the part's graph lives only in this call
+        return ad.backward(ad.scale(loss, scale))
+
+    for part in in_parts(pool, backward, range(len(losses))):
+        for name, g in part.items():
+            if name in grads:
+                grads[name] += g
+            else:
+                grads[name] = g.copy()
+    return total, count, results
+
+
 @dataclass
 class TrainResult:
     metrics: list
@@ -173,8 +223,11 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
 
     ``batch_fn(step, micro)`` must be a pure function of its arguments so
     resumed runs replay the identical data order; it is called in the
-    calling thread, in step and micro-batch order. The micro-batches' part
-    workers (``part_pool``) live only inside this call.
+    calling thread, in step and micro-batch order. Each micro-batch runs
+    as one ``part_step``; its router noise is drawn once for the whole
+    micro-batch and each part routes with its own rows of it, so the
+    routing is that of one whole-batch route. The part workers
+    (``part_pool``) live only inside this call.
     """
     params = provider.param_arrays()
     if sum(p.size for p in params.values()) == 0:
@@ -184,6 +237,12 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
     root = RngStream(cfg.seed)
     base_hash = lm.param_hash()
     n_experts = provider.stack.shape[0]
+
+    def forward(part, rows, noise):
+        loss, _, routing = mt.loss_on_batch(
+            provider, lm, part, training=True, noise=None if noise is None else noise[rows]
+        )
+        return loss, routing
 
     metrics = []
     log = open(metrics_path, "a", encoding="utf-8") if metrics_path else contextlib.nullcontext()
@@ -196,8 +255,14 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
             step_load = np.zeros(n_experts)
             for micro in range(cfg.grad_accum):
                 batch = batch_fn(step, micro)
-                loss, count, routings = _accumulate_micro_batch(
-                    provider, lm, batch, root.child("noise", step, micro), accum, step, pool
+                noise = provider.training_noise(root.child("noise", step, micro), batch.size)
+                loss, count, routings = part_step(
+                    pool,
+                    batch,
+                    provider.prompt_length,
+                    functools.partial(forward, noise=noise),
+                    accum,
+                    step,
                 )
                 loss_total += loss
                 token_total += count
@@ -225,47 +290,6 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
     if lm.param_hash() != base_hash:
         raise NumericalError("frozen base model changed during training")
     return TrainResult(metrics, state)
-
-
-def _accumulate_micro_batch(provider, lm, batch, noise_rng, accum, step, pool):
-    """Add one micro-batch's gradients into ``accum``; returns (summed loss, count, routings).
-
-    The rows split into fixed parts (``row_parts``), part 0 in the caller
-    and the others on ``pool``. The router noise is drawn once for the
-    whole micro-batch and each part routes with its own rows of it, so the
-    routing is that of one whole-batch route. Each part runs its forward and
-    backward with its loss scaled by one over the whole micro-batch's scored
-    token count (``ToyLM.scored_count``), and the part gradients are added in
-    part order: one whole-batch backward up to summation order, the same on
-    every run. ``routings`` holds each part's ``Routing`` (None without a
-    router), in part order.
-
-    The parts do not wait for each other between forward and backward, so
-    the micro-batch can peak at the two half-batch peaks together: at the
-    trainer tests' widths 0.98 of one whole-batch forward and backward. A
-    part's graph and its saved arrays live only in its own call, so they are
-    freed before the next micro-batch's forward runs.
-    """
-    noise = provider.training_noise(noise_rng, batch.size)
-    count = lm.scored_count(batch, provider.prompt_length)
-
-    def run_part(rows):
-        part = batch.take(rows)
-        loss, _, routing = mt.loss_on_batch(
-            provider, lm, part, training=True, noise=None if noise is None else noise[rows]
-        )
-        if not np.isfinite(loss.value):
-            raise NumericalError(f"non-finite loss at step {step} on batch ids {part.ids[:4]}")
-        return float(loss.value), ad.backward(ad.scale(loss, 1.0 / max(count, 1))), routing
-
-    parts = in_parts(pool, run_part, row_parts(batch.size))
-    for _, grads, _ in parts:
-        for name, g in grads.items():
-            if name in accum:
-                accum[name] += g
-            else:
-                accum[name] = g.copy()
-    return sum(loss for loss, _, _ in parts), count, [routing for _, _, routing in parts]
 
 
 def write_npz(path, arrays):

@@ -19,12 +19,14 @@ import pytest
 
 from promptmoe import autodiff as ad
 from promptmoe import pretrain as pt
+from promptmoe import trainer as tr
 from promptmoe.data import EOS_ID, PAD_ID
 from promptmoe.errors import ConfigError, NumericalError
 from promptmoe.linalg import RngStream
 from promptmoe.model import ToyLM
 from promptmoe.trainer import write_npz
 from test_autodiff import traced_peak
+from test_trainer import SerialPool
 
 DOCS = pt.gen_docs(2000, seed=0)
 
@@ -235,7 +237,7 @@ TINY = pt.PretrainConfig(hidden=16, layers=1, heads=2, max_seq=64, docs=60, step
                          batch_size=5, pack_len=24, warmup_steps=1)
 
 
-def test_split_step_matches_one_whole_batch_backward(monkeypatch):
+def test_split_step_matches_one_whole_batch_backward():
     lm = ToyLM.create(TINY.lm_config(), RngStream(0).child("lm_init"))
     docs = pt.gen_corpus(TINY.docs, 0)
     # one doc per row: ragged rows, so both halves hold padding; 5 rows split 2 + 3
@@ -244,46 +246,43 @@ def test_split_step_matches_one_whole_batch_backward(monkeypatch):
     loss, count, _ = lm.loss_on_tokens(batch)
     want = ad.backward(ad.scale(loss, 1.0 / count))
     seen = {}
-    monkeypatch.setattr(pt, "adamw_step", lambda params, grads, state, lr: seen.update(grads))
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
-        got = pt._pretrain_step(lm, batch, None, 1e-3, 1, pool)
-    assert got == pytest.approx(float(loss.value) / count, rel=1e-12)
-    assert sorted(seen) == sorted(name.removeprefix("lm.") for name in want)
+        got, got_count, _ = tr.part_step(
+            pool, batch, 0, lambda part, rows: lm.loss_on_tokens(part), seen, 1
+        )
+    assert got_count == count
+    assert got == pytest.approx(float(loss.value), rel=1e-12)
+    assert sorted(seen) == sorted(want)
     for name, g in want.items():
-        np.testing.assert_allclose(seen[name.removeprefix("lm.")], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
-
-
-class SerialPool:
-    """A ThreadPoolExecutor stand-in that runs each submitted part at once, in the caller."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as e:  # handed to the caller through the future, as a worker would
-            future.set_exception(e)
-        return future
+        np.testing.assert_allclose(seen[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
 
 
 def test_split_pretraining_repeats_bitwise_and_matches_a_serial_run(monkeypatch):
     runs = [pt.pretrain_base(TINY) for _ in range(2)]
+    threads = set()
+    loss_on_tokens = ToyLM.loss_on_tokens
+
+    def spy(self, batch):
+        threads.add(threading.current_thread())
+        return loss_on_tokens(self, batch)
+
     with monkeypatch.context() as patch:
-        patch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        patch.setattr(tr, "ThreadPoolExecutor", SerialPool)
+        patch.setattr(ToyLM, "loss_on_tokens", spy)
         runs.append(pt.pretrain_base(TINY))
+    assert threads == {threading.current_thread()}  # the serial run started no worker
     (lm, loss), *others = runs
     assert np.isfinite(loss)
     for other, other_loss in others:
         assert other.param_hash() == lm.param_hash()
         assert other_loss == loss
+
+
+def test_nonfinite_pretraining_loss_names_the_step(monkeypatch):
+    # a NaN rate makes every weight NaN in step 1's update, so step 2's loss is NaN
+    monkeypatch.setattr(pt, "pretrain_lr", lambda step, pcfg: float("nan"))
+    with pytest.raises(NumericalError, match=r"non-finite loss at step 2$"):
+        pt.pretrain_base(TINY)
 
 
 def test_one_row_batch_pretrains():

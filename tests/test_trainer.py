@@ -1,6 +1,8 @@
 """Optimizer math, schedules, accumulation equivalence, resume."""
 
+import concurrent.futures
 import json
+import re
 import threading
 
 import numpy as np
@@ -63,26 +65,15 @@ def test_lr_rejects_step_zero():
         tr.lr_at(0, cfg)
 
 
-# ---- AdamW update rule ------------------------------------------------------
+# ---- Adam update rule -------------------------------------------------------
 
 def test_zero_grads_no_decay_params_bitwise_unchanged():
     p = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
     before = p.copy()
     params = {"p": p}
     state = tr.AdamWState(params)
-    assert tr.WEIGHT_DECAY == 0.0
     assert tr.adamw_step(params, {"p": np.zeros_like(p)}, state, 0.01)
     assert (p == before).all()
-
-
-def test_zero_grads_decay_only_closed_form(monkeypatch):
-    p = np.array([2.0, -3.0, 0.5])
-    params = {"p": p}
-    state = tr.AdamWState(params)
-    monkeypatch.setattr(tr, "WEIGHT_DECAY", 0.1)  # the step reads the constant per call
-    tr.adamw_step(params, {"p": np.zeros_like(p)}, state, 0.01)
-    # theta <- theta - lr*wd*theta = 0.999*theta
-    np.testing.assert_allclose(p, 0.999 * np.array([2.0, -3.0, 0.5]), rtol=0, atol=1e-15)
 
 
 def test_three_step_recursion_matches_hand_iteration():
@@ -90,7 +81,7 @@ def test_three_step_recursion_matches_hand_iteration():
     params = {"p": p}
     state = tr.AdamWState(params)
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    assert (tr.BETA1, tr.BETA2, tr.EPS, tr.WEIGHT_DECAY) == (b1, b2, eps, 0.0)
+    assert (tr.BETA1, tr.BETA2, tr.EPS) == (b1, b2, eps)
 
     theta, m, v = 0.7, 0.0, 0.0
     for t in range(1, 4):
@@ -299,7 +290,8 @@ def test_nonfinite_loss_reports_batch_ids(lm):
     provider = make_provider(lm)
     provider.stack[...] = np.nan
     batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
-    with pytest.raises(NumericalError, match="step 1"):
+    first_part = batch_fn(1, 0).ids[:2]  # the caller's part raises first
+    with pytest.raises(NumericalError, match=re.escape(f"at step 1 on batch ids {first_part}")):
         tr.train(provider, lm, tr.TrainConfig(steps=1, seed=1), batch_fn)
 
 
@@ -392,6 +384,50 @@ def test_split_micro_batch_matches_one_whole_batch_backward(lm, monkeypatch):
     assert sorted(seen) == sorted(want)
     for name, g in want.items():
         np.testing.assert_allclose(seen[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+
+
+class SerialPool:
+    """A ThreadPoolExecutor stand-in that runs each submitted part at once, in the caller."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:  # handed to the caller through the future, as a worker would
+            future.set_exception(e)
+        return future
+
+
+def test_split_tuning_repeats_bitwise_and_matches_a_serial_run(lm, monkeypatch):
+    batch_fn = dt.make_batch_fn(small_dataset(), batch_size=5, seed=3, max_seq=48)
+    cfg = tr.TrainConfig(steps=3, warmup_steps=1, lr=1e-3, seed=6)
+
+    def run():
+        provider = make_provider(lm)
+        metrics = tr.train(provider, lm, cfg, batch_fn).metrics
+        return provider.param_arrays(), metrics
+
+    runs = [run() for _ in range(2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(tr, "ThreadPoolExecutor", SerialPool)
+        calls = spy_on_parts(patch)
+        runs.append(run())
+    assert len(calls) == 2 * cfg.steps * cfg.grad_accum
+    assert all(on_main for on_main, _, _ in calls)  # the serial run started no worker
+    (params, metrics), *others = runs
+    for other_params, other_metrics in others:
+        assert other_metrics == metrics
+        for name in params:
+            assert (other_params[name] == params[name]).all(), name
 
 
 def test_one_row_micro_batch_runs_whole(lm, monkeypatch):
