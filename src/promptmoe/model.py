@@ -330,13 +330,9 @@ class ToyLM:
         return ad.masked_nll(logits, targets[pick], mask[pick])
 
     def loss_on_tokens(self, batch):
-        """(loss, count, logits) via the differentiable embedding path (no prompt).
-
-        The logits node comes back too, so the caller decides when its value
-        is freed.
-        """
+        """(loss, count) via the differentiable embedding path (no prompt)."""
         logits = self.forward_tokens(batch.token_ids, batch.attn_mask)
-        return (*self._shifted_nll(logits, batch), logits)
+        return self._shifted_nll(logits, batch)
 
     @classmethod
     def scored_count(cls, batch, k):

@@ -22,7 +22,7 @@ from .data import ANSWER_PREFIX, LETTERS, SEPARATOR, pad_right, rand_span
 from .errors import ConfigError
 from .linalg import RngStream
 from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
-from .trainer import AdamWState, adamw_step, part_pool, part_step, read_npz, write_npz
+from .trainer import AdamWState, adamw_step, part_step, part_worker, read_npz, write_npz
 
 TASK_MARKERS = ("copy", "reverse")  # reserved for answer-less format docs
 DOC_MIX = (
@@ -200,11 +200,12 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
     """Train a fresh model on the synthetic corpus and freeze it.
 
     Each step is one ``trainer.part_step`` on every weight, then one Adam
-    step (decoupled decay removed). The model's forward hands its logits
-    node to the step to hold until every part's forward has finished. The
-    step's worker threads (``trainer.part_pool``) live only inside this
-    call: they are joined when it returns or raises. OpenBLAS runs on one
-    thread for the call, as each part's matmuls assume.
+    step (decoupled decay removed). The step's worker process
+    (``trainer.part_worker``) is forked when the call starts and is killed
+    and reaped when it returns or raises, a raise from ``log_fn`` included;
+    each step sends it the current weights (about 0.9 MB on the default
+    config). OpenBLAS runs on one thread for the call, in both processes,
+    as each part's matmuls assume.
     """
     lm = ToyLM.create(pcfg.lm_config(), RngStream(pcfg.seed).child("lm_init"), pcfg.init_std)
     docs = gen_corpus(pcfg.docs, pcfg.seed)
@@ -215,20 +216,19 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
     last = float("nan")
     pack = min(pcfg.pack_len, pcfg.max_seq)
     per_row = pack // 8 + 2  # enough docs to overfill any row
-    with part_pool("pretrain-part") as pool:
+
+    def forward(part, extra):
+        loss, _ = lm.loss_on_tokens(part)
+        return loss, None
+
+    with part_worker(forward, params) as worker:
         for step in range(1, pcfg.steps + 1):
             idx = root.child("batch", step).integers(
                 0, len(docs), (pcfg.batch_size, per_row)
             )
             grads = {}
-            loss, count, _ = part_step(
-                pool,
-                _doc_batch(docs, idx, pack),
-                0,
-                lambda part, rows: lm.loss_on_tokens(part),
-                grads,
-                step,
-            )
+            batch = _doc_batch(docs, idx, pack)
+            loss, count, _ = part_step(worker, forward, batch, 0, None, grads, step)
             adamw_step(params, grads, state, pretrain_lr(step, pcfg))
             last = loss / max(count, 1)
             if log_every and step % log_every == 0:

@@ -271,7 +271,7 @@ def test_pretraining_path_gradcheck_on_lm_params():
 
     def f(v):
         params = {**lm.params, **{name.removeprefix("lm."): a for name, a in v.items()}}
-        loss, count, _ = m.ToyLM(lm.cfg, params, frozen=False).loss_on_tokens(batch)
+        loss, count = m.ToyLM(lm.cfg, params, frozen=False).loss_on_tokens(batch)
         return ad.scale(loss, 1.0 / count)
 
     assert ad.finite_diff_check(f, {f"lm.{name}": lm.params[name] for name in checked}) <= 1e-5
@@ -678,7 +678,7 @@ def test_concurrent_forwards_on_one_unfrozen_model_match_serial_ones():
     batches = [simple_batch(rng.integers(0, 256, (2, 12))) for _ in range(4)]
 
     def grads(batch):
-        loss, count, _ = lm.loss_on_tokens(batch)
+        loss, count = lm.loss_on_tokens(batch)
         return ad.backward(ad.scale(loss, 1.0 / count))
 
     serial = [grads(b) for b in batches]

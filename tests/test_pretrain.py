@@ -6,12 +6,11 @@ every answer value withheld. Nothing here may pair a task input with its
 answer.
 """
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import re
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from promptmoe.linalg import RngStream
 from promptmoe.model import ToyLM
 from promptmoe.trainer import write_npz
 from test_autodiff import traced_peak
-from test_trainer import SerialPool
+from test_trainer import assert_no_child_left
 
 DOCS = pt.gen_docs(2000, seed=0)
 
@@ -243,34 +242,39 @@ def test_split_step_matches_one_whole_batch_backward():
     # one doc per row: ragged rows, so both halves hold padding; 5 rows split 2 + 3
     batch = pt._doc_batch(docs, [[i] for i in range(5)], TINY.pack_len)
     assert (batch.attn_mask == 0).any()
-    loss, count, _ = lm.loss_on_tokens(batch)
+    loss, count = lm.loss_on_tokens(batch)
     want = ad.backward(ad.scale(loss, 1.0 / count))
+
+    def forward(part, extra):
+        loss, _ = lm.loss_on_tokens(part)
+        return loss, os.getpid()
+
     seen = {}
-    with concurrent.futures.ThreadPoolExecutor(1) as pool:
-        got, got_count, _ = tr.part_step(
-            pool, batch, 0, lambda part, rows: lm.loss_on_tokens(part), seen, 1
-        )
+    with tr.part_worker(forward, {f"lm.{name}": p for name, p in lm.params.items()}) as worker:
+        got, got_count, pids = tr.part_step(worker, forward, batch, 0, None, seen, 1)
+    assert pids[0] == os.getpid() != pids[1]  # the second half ran in the worker
     assert got_count == count
     assert got == pytest.approx(float(loss.value), rel=1e-12)
     assert sorted(seen) == sorted(want)
     for name, g in want.items():
         np.testing.assert_allclose(seen[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+    assert_no_child_left()
 
 
 def test_split_pretraining_repeats_bitwise_and_matches_a_serial_run(monkeypatch):
     runs = [pt.pretrain_base(TINY) for _ in range(2)]
-    threads = set()
+    pids = set()
     loss_on_tokens = ToyLM.loss_on_tokens
 
     def spy(self, batch):
-        threads.add(threading.current_thread())
+        pids.add(os.getpid())
         return loss_on_tokens(self, batch)
 
     with monkeypatch.context() as patch:
-        patch.setattr(tr, "ThreadPoolExecutor", SerialPool)
+        patch.delattr(os, "fork")  # every part runs in the caller
         patch.setattr(ToyLM, "loss_on_tokens", spy)
         runs.append(pt.pretrain_base(TINY))
-    assert threads == {threading.current_thread()}  # the serial run started no worker
+    assert pids == {os.getpid()}  # the serial run forked no worker
     (lm, loss), *others = runs
     assert np.isfinite(loss)
     for other, other_loss in others:
@@ -296,27 +300,27 @@ class StopHere(Exception):
     pass
 
 
-def test_pretraining_threads_end_with_the_call(monkeypatch):
-    before = threading.active_count()
+def test_pretraining_worker_ends_with_the_call(monkeypatch):
     pt.pretrain_base(TINY)
-    assert threading.active_count() == before
+    assert_no_child_left()
 
     def stop(line):
         raise StopHere(line)
 
     with pytest.raises(StopHere):
         pt.pretrain_base(TINY, log_every=1, log_fn=stop)
-    assert threading.active_count() == before
+    assert_no_child_left()
 
     # a worker's error re-raises in the caller
+    caller = os.getpid()
     loss_on_tokens = ToyLM.loss_on_tokens
 
-    def fail_off_main(self, batch):
-        if threading.current_thread() is not threading.main_thread():
+    def fail_off_caller(self, batch):
+        if os.getpid() != caller:
             raise NumericalError("worker part failed")
         return loss_on_tokens(self, batch)
 
-    monkeypatch.setattr(ToyLM, "loss_on_tokens", fail_off_main)
-    with pytest.raises(NumericalError, match="worker part failed"):
+    monkeypatch.setattr(ToyLM, "loss_on_tokens", fail_off_caller)
+    with pytest.raises(NumericalError, match="^worker part failed$"):
         pt.pretrain_base(TINY)
-    assert threading.active_count() == before
+    assert_no_child_left()

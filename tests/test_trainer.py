@@ -1,9 +1,12 @@
 """Optimizer math, schedules, accumulation equivalence, resume."""
 
-import concurrent.futures
+import contextlib
 import json
+import os
+import pickle
 import re
-import threading
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -301,12 +304,17 @@ class StopHere(Exception):
     pass
 
 
-def test_train_threads_end_with_the_call(lm):
+def assert_no_child_left():
+    """The test process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_worker_ends_with_the_call(lm):
     batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
     cfg = tr.TrainConfig(steps=2, warmup_steps=1, seed=1)
-    before = threading.active_count()
     tr.train(make_provider(lm), lm, cfg, batch_fn)
-    assert threading.active_count() == before
+    assert_no_child_left()
 
     def stop_at_step_two(step, micro):
         if step == 2:
@@ -315,46 +323,115 @@ def test_train_threads_end_with_the_call(lm):
 
     with pytest.raises(StopHere):
         tr.train(make_provider(lm), lm, cfg, stop_at_step_two)
-    assert threading.active_count() == before
+    assert_no_child_left()
 
 
 def test_worker_part_error_reraises_in_the_caller(lm, monkeypatch):
+    caller = os.getpid()
     loss_on_batch = mt.loss_on_batch
 
-    def fail_off_main(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
+    def fail_off_caller(*args, **kwargs):
+        if os.getpid() != caller:
             raise NumericalError("worker part failed")
         return loss_on_batch(*args, **kwargs)
 
-    monkeypatch.setattr(mt, "loss_on_batch", fail_off_main)
+    monkeypatch.setattr(mt, "loss_on_batch", fail_off_caller)
     batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
-    before = threading.active_count()
-    with pytest.raises(NumericalError, match="worker part failed"):
+    with pytest.raises(NumericalError, match="^worker part failed$"):
         tr.train(make_provider(lm), lm, tr.TrainConfig(steps=1, seed=1), batch_fn)
-    assert threading.active_count() == before
+    assert_no_child_left()
 
 
-def spy_on_parts(monkeypatch):
-    """Record (ran in the main thread, part batch, routing) of every ``loss_on_batch`` call."""
-    calls = []
+class Hung(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise Hung in the block once ``seconds`` (whole) have passed."""
+
+    def hung(signum, frame):
+        raise Hung
+
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+
+
+def test_a_killed_worker_makes_the_call_raise(lm, monkeypatch):
+    caller = os.getpid()
+    loss_on_batch = mt.loss_on_batch
+
+    def die_off_caller(*args, **kwargs):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return loss_on_batch(*args, **kwargs)
+
+    monkeypatch.setattr(mt, "loss_on_batch", die_off_caller)
+    batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
+    start = time.monotonic()
+    with deadline(30), pytest.raises(ChildProcessError, match="died at step 1"):
+        tr.train(make_provider(lm), lm, tr.TrainConfig(steps=2, seed=1), batch_fn)
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def test_ctrl_c_reaps_the_worker(lm, monkeypatch):
+    loss_on_batch = mt.loss_on_batch
+
+    def interrupt(provider, lm, batch, **kwargs):
+        # Ctrl-C signals the whole process group: the caller and the worker
+        os.kill(os.getpid(), signal.SIGINT)
+        return loss_on_batch(provider, lm, batch, **kwargs)
+
+    monkeypatch.setattr(mt, "loss_on_batch", interrupt)
+    batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
+    with deadline(30), pytest.raises(KeyboardInterrupt):
+        tr.train(make_provider(lm), lm, tr.TrainConfig(steps=2, seed=1), batch_fn)
+    assert_no_child_left()
+
+
+def spy_on_parts(monkeypatch, tmp_path):
+    """Record (ran in the caller, part batch ids, routing) of every ``loss_on_batch`` call.
+
+    The forked worker inherits the spy, so each call, in either process,
+    appends its record to a file in one write; the returned function reads
+    them all.
+    """
+    caller = os.getpid()
+    path = tmp_path / "parts.pickle"
     loss_on_batch = mt.loss_on_batch
 
     def spy(provider, lm, batch, **kwargs):
         out = loss_on_batch(provider, lm, batch, **kwargs)
-        calls.append((threading.current_thread() is threading.main_thread(), batch, out[2]))
+        record = pickle.dumps((os.getpid() == caller, batch.ids, out[2]))
+        with open(path, "ab") as f:
+            f.write(record)
         return out
 
     monkeypatch.setattr(mt, "loss_on_batch", spy)
+
+    def calls():
+        records = []
+        with open(path, "rb") as f:
+            while f.peek(1):
+                records.append(pickle.load(f))
+        return records
+
     return calls
 
 
-def test_parts_route_as_one_whole_batch(lm, monkeypatch):
+def test_parts_route_as_one_whole_batch(lm, monkeypatch, tmp_path):
     batch = dt.build_batch(small_dataset()[:7], max_seq=48)  # parts of 3 and 4 rows
     cfg = tr.TrainConfig(steps=1, warmup_steps=1, grad_accum=1, seed=4)
-    calls = spy_on_parts(monkeypatch)
+    spied = spy_on_parts(monkeypatch, tmp_path)
     tr.train(make_provider(lm), lm, cfg, lambda step, micro: batch)
-    calls.sort(key=lambda call: not call[0])  # the caller's part first
-    assert [(on_main, part.ids) for on_main, part, _ in calls] == [
+    calls = sorted(spied(), key=lambda call: not call[0])  # the caller's part first
+    assert [(in_caller, ids) for in_caller, ids, _ in calls] == [
         (True, batch.ids[:3]), (False, batch.ids[3:])
     ]
     monkeypatch.undo()
@@ -386,28 +463,7 @@ def test_split_micro_batch_matches_one_whole_batch_backward(lm, monkeypatch):
         np.testing.assert_allclose(seen[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
 
 
-class SerialPool:
-    """A ThreadPoolExecutor stand-in that runs each submitted part at once, in the caller."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as e:  # handed to the caller through the future, as a worker would
-            future.set_exception(e)
-        return future
-
-
-def test_split_tuning_repeats_bitwise_and_matches_a_serial_run(lm, monkeypatch):
+def test_split_tuning_repeats_bitwise_and_matches_a_serial_run(lm, monkeypatch, tmp_path):
     batch_fn = dt.make_batch_fn(small_dataset(), batch_size=5, seed=3, max_seq=48)
     cfg = tr.TrainConfig(steps=3, warmup_steps=1, lr=1e-3, seed=6)
 
@@ -418,11 +474,12 @@ def test_split_tuning_repeats_bitwise_and_matches_a_serial_run(lm, monkeypatch):
 
     runs = [run() for _ in range(2)]
     with monkeypatch.context() as patch:
-        patch.setattr(tr, "ThreadPoolExecutor", SerialPool)
-        calls = spy_on_parts(patch)
+        patch.delattr(os, "fork")  # every part runs in the caller
+        spied = spy_on_parts(patch, tmp_path)
         runs.append(run())
+    calls = spied()
     assert len(calls) == 2 * cfg.steps * cfg.grad_accum
-    assert all(on_main for on_main, _, _ in calls)  # the serial run started no worker
+    assert all(in_caller for in_caller, _, _ in calls)  # the serial run forked no worker
     (params, metrics), *others = runs
     for other_params, other_metrics in others:
         assert other_metrics == metrics
@@ -430,11 +487,11 @@ def test_split_tuning_repeats_bitwise_and_matches_a_serial_run(lm, monkeypatch):
             assert (other_params[name] == params[name]).all(), name
 
 
-def test_one_row_micro_batch_runs_whole(lm, monkeypatch):
+def test_one_row_micro_batch_runs_whole(lm, monkeypatch, tmp_path):
     assert tr.row_parts(1) == [slice(0, 1)]
     batch = dt.build_batch(small_dataset()[:1], max_seq=48)
-    calls = spy_on_parts(monkeypatch)
+    spied = spy_on_parts(monkeypatch, tmp_path)
     cfg = tr.TrainConfig(steps=1, warmup_steps=1, grad_accum=1, seed=4)
     (rec,) = tr.train(make_provider(lm), lm, cfg, lambda step, micro: batch).metrics
-    assert [(on_main, part.size) for on_main, part, _ in calls] == [(True, 1)]
+    assert [(in_caller, len(ids)) for in_caller, ids, _ in spied()] == [(True, 1)]
     assert np.isfinite(rec["loss"]) and sum(rec["expert_counts"]) == 1
