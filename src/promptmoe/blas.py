@@ -1,19 +1,18 @@
 """OpenBLAS's thread count, read and set through the library numpy loaded.
 
 Pretraining runs each batch, and tuning each micro-batch, as two row parts,
-one in the caller and one in a forked worker process (``trainer.part_step``),
-so their matmuls must each run on one BLAS thread: an OpenBLAS that also
-spreads every call over the cores runs twice as many busy threads as there
-are cores. A 200-step ``promptmoe pretrain-base`` on a 2-core Xeon took
-21-28 s that way and 13-15 s with OpenBLAS on one thread (measured with the
-second part on a thread). ``one_thread`` sets OpenBLAS to one thread for a
-block and restores its count after; ``trainer.part_worker`` holds it for the
-whole of ``trainer.train`` and ``pretrain.pretrain_base`` and forks the
-worker inside it, so the worker inherits the setting. The library is found
-among the process's mapped files, where perfbench's environment manifest
-looks for it too; where there is no OpenBLAS to find (not Linux, or numpy on
-another BLAS), nothing changes, and each part's matmuls run at whatever
-thread count the environment sets.
+one in the caller and one in a forked ``multiprocessing`` worker process
+(``trainer.part_step``), so their matmuls must each run on one BLAS thread:
+an OpenBLAS that also spreads every call over the cores runs twice as many
+busy threads as there are cores (a 200-step ``promptmoe pretrain-base`` on a
+2-core Xeon, with the second part on a thread, took 21-28 s that way and
+13-15 s on one thread). ``one_thread`` sets OpenBLAS to one thread for a
+block and restores its count after; ``trainer.part_worker`` holds it while
+its worker lives and forks the worker inside it, so it inherits the setting.
+The library is found among the process's mapped files, where perfbench's
+environment manifest looks for it too. Where there is no OpenBLAS (not
+Linux, or numpy on another BLAS), nothing changes: the matmuls run at the
+environment's thread count.
 """
 
 import contextlib

@@ -79,6 +79,7 @@ def cmd_pretrain_base(args):
     say = _say(args.quiet)
     path = pt.base_path(rc.base, args.cache_dir)
     if args.force:
+        pt.make_dir(args.cache_dir, "base model cache directory")
         lm, final = pt.pretrain_base(rc.base, log_every=100, log_fn=say)
         pt.save_base(path, rc.base, lm)
         say(f"pretrained to loss {final:.4f}")
@@ -101,10 +102,13 @@ def cmd_train(args):
 
 def cmd_eval(args):
     rc = _load_config(args.config)
-    provider, lm, _, _, _ = runner.load_provider(rc, args.checkpoint, cache_dir=args.cache_dir)
-    examples = dt.load_jsonl(args.data) if args.data else None
-    log_file = open(args.routing_log, "w", encoding="utf-8") if args.routing_log else None
+    try:  # before the work, not after
+        log_file = open(args.routing_log, "w", encoding="utf-8") if args.routing_log else None
+    except OSError as e:
+        raise ConfigError(f"cannot write routing log {args.routing_log}: {e}") from e
     with log_file or contextlib.nullcontext() as log:
+        provider, lm, _, _, _ = runner.load_provider(rc, args.checkpoint, cache_dir=args.cache_dir)
+        examples = dt.load_jsonl(args.data) if args.data else None
         kw = dict(
             batch_size=rc.eval.batch_size,
             max_new=rc.eval.max_new or None,

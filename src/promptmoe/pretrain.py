@@ -22,7 +22,7 @@ from .data import ANSWER_PREFIX, LETTERS, SEPARATOR, pad_right, rand_span
 from .errors import ConfigError
 from .linalg import RngStream
 from .model import EOS_ID, Batch, LMConfig, ToyLM, encode
-from .trainer import AdamWState, adamw_step, part_step, part_worker, read_npz, write_npz
+from .trainer import AdamWState, adamw_step, make_dir, part_step, part_worker, read_npz, write_npz
 
 TASK_MARKERS = ("copy", "reverse")  # reserved for answer-less format docs
 DOC_MIX = (
@@ -200,12 +200,11 @@ def pretrain_base(pcfg, log_every=0, log_fn=print):
     """Train a fresh model on the synthetic corpus and freeze it.
 
     Each step is one ``trainer.part_step`` on every weight, then one Adam
-    step (decoupled decay removed). The step's worker process
-    (``trainer.part_worker``) is forked when the call starts and is killed
-    and reaped when it returns or raises, a raise from ``log_fn`` included;
-    each step sends it the current weights (about 0.9 MB on the default
-    config). OpenBLAS runs on one thread for the call, in both processes,
-    as each part's matmuls assume.
+    step (decoupled decay removed). The step's worker, a fork-context
+    ``multiprocessing`` process (``trainer.part_worker``), lives for the call
+    and is reaped however it ends, a raise from ``log_fn`` included; each
+    step sends it the current weights (about 0.9 MB on the default config).
+    OpenBLAS runs on one thread for the call, in both processes.
     """
     lm = ToyLM.create(pcfg.lm_config(), RngStream(pcfg.seed).child("lm_init"), pcfg.init_std)
     docs = gen_corpus(pcfg.docs, pcfg.seed)
@@ -242,7 +241,6 @@ def base_path(pcfg, cache_dir):
 
 
 def save_base(path, pcfg, lm):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     arrays = {f"lm.{k}": v for k, v in lm.params.items()}
     arrays["config_json"] = np.frombuffer(
         json.dumps(asdict(pcfg), sort_keys=True).encode(), dtype=np.uint8
@@ -283,6 +281,7 @@ def ensure_base(pcfg, cache_dir=".cache", log_every=0, log_fn=print):
                 f"base model cache {path} was built from another config: {cached}{_REBUILD}"
             )
         return lm, path
+    make_dir(cache_dir, "base model cache directory")  # before the pretraining, not after it
     lm, _ = pretrain_base(pcfg, log_every=log_every, log_fn=log_fn)
     save_base(path, pcfg, lm)
     return lm, path

@@ -41,6 +41,8 @@ def run_training(rc, seed=None, cache_dir=".cache", out_dir=None, log_fn=None):
     """Train one method per the run config; return a JSON-able result."""
     say = log_fn or (lambda *_: None)
     cfg = rc.train if seed is None else dataclasses.replace(rc.train, seed=int(seed))
+    if out_dir:
+        tr.make_dir(out_dir, "output directory")  # before the work, not after
 
     lm, base_file = pt.ensure_base(rc.base, cache_dir, log_every=500, log_fn=say)
     say(f"base model ready ({base_file})")
@@ -53,8 +55,6 @@ def run_training(rc, seed=None, cache_dir=".cache", out_dir=None, log_fn=None):
     )
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl") if out_dir else None
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     result = tr.train(provider, lm, cfg, batch_fn, metrics_path=metrics_path)
     train_seconds = time.time() - t0

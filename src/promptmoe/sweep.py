@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .methods import unread_fields
 from .runner import run_training
+from .trainer import make_dir
 
 AXES = ("prompt_length", "num_experts", "params_budget", "routing_mode", "base_model_size")
 ROUTING_MODES = ("S+P", "NS+P", "S+NP", "NS+NP")
@@ -109,7 +110,7 @@ def format_table(axis, rows):
 def _flush(out_dir, payload):
     if not out_dir:
         return
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir, "sweep output directory")
     with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
     with open(os.path.join(out_dir, "sweep.txt"), "w", encoding="utf-8") as f:
@@ -121,6 +122,7 @@ def run_sweep(spec, rc, seed, cache_dir=".cache", out_dir=None, log_fn=None):
     say = log_fn or (lambda *_: None)
     leg_cfgs = [apply_axis(rc, spec.axis, value) for value in spec.values]
     payload = {"axis": spec.axis, "seed": int(seed), "status": "running", "legs": []}
+    _flush(out_dir, payload)  # makes out_dir, or fails, before the first leg trains
     for value, leg_cfg in zip(spec.values, leg_cfgs):
         say(f"sweep leg {spec.axis}={value}")
         try:

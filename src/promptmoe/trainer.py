@@ -9,20 +9,18 @@ uninterrupted run would have made, so trajectories match bitwise.
 pretraining (once per batch): ``STEP_PARTS`` fixed row parts, the first in
 the caller and the second in one worker process, each running its forward
 and then its backward, with the part gradients added in part order, so a run
-is the same on every machine. ``train`` (and ``pretrain.pretrain_base``)
-forks that worker with ``os.fork`` when it starts and kills and reaps it
-when it returns or raises (``part_worker``). A caller with other threads
-running should know that the package forks there: the child runs only the
-loop's forward and backward and never returns into the caller's code. The
-worker's memory comes on top of the caller's: on a 2-core Xeon it held
-11 MB of private pages on the desk tune and 33 MB on the default pretrain.
-Where ``os.fork`` does not exist, the caller runs every part.
+is the same on every machine. The worker (``part_worker``), one fork-context
+``multiprocessing.Process`` on one ``Pipe``, is forked for the whole of
+``train`` or ``pretrain.pretrain_base``, so a caller with other threads
+should know that the package forks there; ``multiprocessing`` (about 1 MB of
+RSS) is imported only then. The worker's memory comes on top of the
+caller's: on a 2-core Xeon, 11 MB of private pages on the desk tune and
+33 MB on the default pretrain. Without ``os.fork``, the caller runs every part.
 """
 
 import contextlib
 import json
 import os
-import pickle
 import signal
 import zipfile
 from dataclasses import dataclass
@@ -142,91 +140,25 @@ def _run_part(forward, part, extra, scale, step):
     return float(loss.value), ad.backward(ad.scale(loss, scale)), result
 
 
-def _serve(forward, params, requests, replies):
-    """The worker's loop: answer each request until the caller's end of the pipe closes."""
-    while True:
-        try:
-            values, parts, scale, step = pickle.load(requests)
-        except EOFError:
-            return
-        for name, value in values.items():
-            params[name][...] = value
-        try:
-            reply = [_run_part(forward, part, extra, scale, step) for part, extra in parts]
-        except Exception as e:  # re-raised in the caller
-            reply = e
-        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
-        replies.flush()
+def _serve(conn, caller_end, forward, params):
+    """The worker's loop: answer each request until the caller's end of the pipe closes.
 
-
-class _Worker:
-    """One forked process that runs the parts after the first of each ``part_step``.
-
-    It inherits ``forward`` and the trainable arrays ``params`` (by name) at
-    the fork. Each request carries the arrays' current values, which it
-    writes into its own copies before it runs its parts, so it computes what
-    the caller would. It ignores SIGINT: Ctrl-C is the caller's to handle,
-    and the caller kills it (``close``). It leaves only through ``os._exit``,
-    so it runs no exit handler and flushes no inherited stdio buffer.
+    Each request's trainable values go into ``params``, the worker's copies
+    from the fork, before its parts run, so it computes what the caller
+    would. It ignores SIGINT: Ctrl-C is the caller's, and the caller kills it.
     """
-
-    def __init__(self, forward, params):
-        self.params = params
-        request_r, request_w = os.pipe()
-        reply_r, reply_w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (request_r, request_w, reply_r, reply_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            status = 1
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    caller_end.close()  # so the caller's exit reaches ``conn`` as EOF
+    with contextlib.suppress(EOFError):
+        while True:
+            values, parts, scale, step = conn.recv()
+            for name, value in values.items():
+                params[name][...] = value
             try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(request_w)
-                os.close(reply_r)
-                _serve(forward, params, os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(request_r)
-        os.close(reply_w)
-        self.requests = os.fdopen(request_w, "wb")
-        self.replies = os.fdopen(reply_r, "rb")
-
-    def request(self, parts, scale, step):
-        """Send ``parts`` [(part batch, extra rows)] with the current trainable values."""
-        try:
-            pickle.dump((self.params, parts, scale, step), self.requests, pickle.HIGHEST_PROTOCOL)
-            self.requests.flush()
-        except OSError:
-            raise self._died(step) from None
-
-    def reply(self, step):
-        """The request's [(loss value, gradients, result)], or the exception to raise for it."""
-        try:
-            return pickle.load(self.replies)
-        except (EOFError, OSError, pickle.UnpicklingError):
-            return self._died(step)
-
-    def _died(self, step):
-        pid, status = self.pid, self.close()
-        return ChildProcessError(
-            f"the part worker (pid {pid}) died at step {step}: wait status {status}"
-        )
-
-    def close(self):
-        """Kill and reap the worker and close its pipes; its wait status (None if closed already)."""
-        if self.pid is None:
-            return None
-        os.kill(self.pid, signal.SIGKILL)
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        for pipe in (self.requests, self.replies):
-            with contextlib.suppress(OSError):
-                pipe.close()
-        return status
+                reply = [_run_part(forward, part, extra, scale, step) for part, extra in parts]
+            except Exception as e:  # re-raised in the caller
+                reply = e
+            conn.send(reply)
 
 
 @contextlib.contextmanager
@@ -234,21 +166,34 @@ def part_worker(forward, params):
     """The worker ``part_step`` sends its later parts to, for the block.
 
     ``forward`` and ``params`` (the trainable arrays by name, updated in
-    place between steps) are those of the caller's loop. The worker is
-    forked under ``blas.one_thread``, so both processes run OpenBLAS on one
-    thread, as each part's matmuls assume; it is killed and reaped when the
-    block returns or raises. Where ``os.fork`` does not exist this yields
-    None and ``part_step`` runs every part in the caller, with the same bits.
+    place between steps) are those of the caller's loop. The worker is one
+    fork-context ``multiprocessing.Process`` (spawn and forkserver would
+    re-import the package and copy the model), forked under ``blas.one_thread``
+    so both processes run OpenBLAS on one thread, as each part's matmuls
+    assume, and after the std streams are flushed, so buffered output is
+    written once. It is killed and reaped when the block returns or raises.
+    Where ``os.fork`` does not exist this yields None and ``part_step`` runs
+    every part in the caller, with the same bits.
     """
     with blas.one_thread():
         if not hasattr(os, "fork"):
             yield None
             return
-        worker = _Worker(forward, params)
-        try:
-            yield worker
-        finally:
-            worker.close()
+        # imported here, not at the top: the import (socket, selectors, subprocess,
+        # tempfile) costs about 10 ms and 1 MB of RSS that eval and set-up need not pay
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        conn, end = context.Pipe()
+        process = context.Process(target=_serve, args=(end, conn, forward, params), daemon=True)
+        with conn:
+            with end:  # the caller's copy, closed so the worker's exit reads as EOF
+                process.start()
+            try:
+                yield process, conn, params
+            finally:
+                process.kill()
+                process.join()
 
 
 def part_step(worker, forward, batch, k, extra, grads, step):
@@ -279,11 +224,17 @@ def part_step(worker, forward, batch, k, extra, grads, step):
     scale = 1.0 / max(count, 1)
     mine, theirs = (parts, []) if worker is None else (parts[:1], parts[1:])
     if theirs:
-        worker.request(theirs, scale, step)
+        process, conn, values = worker
+        with contextlib.suppress(OSError):  # a dead worker raises at the recv below
+            conn.send((values, theirs, scale, step))
     try:
         done = [_run_part(forward, part, x, scale, step) for part, x in mine]
     finally:
-        reply = worker.reply(step) if theirs else []  # waits, so the worker is idle again
+        try:  # waits, so the worker is idle again
+            reply = conn.recv() if theirs else []
+        except (EOFError, OSError):
+            process.join(1)  # reaped, so its exit code is known
+            reply = ChildProcessError(f"the part worker died at step {step}: {process}")
     if isinstance(reply, BaseException):
         raise reply
     done += reply
@@ -327,7 +278,8 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
         return loss, routing
 
     metrics = []
-    log = open(metrics_path, "a", encoding="utf-8") if metrics_path else contextlib.nullcontext()
+    mode = "a" if start_step else "w"  # a fresh run starts the file empty; a resumed one appends
+    log = open(metrics_path, mode, encoding="utf-8") if metrics_path else contextlib.nullcontext()
     with log as sink, part_worker(forward, params) as worker:
         for step in range(start_step + 1, cfg.steps + 1):
             accum = {}
@@ -367,6 +319,14 @@ def train(provider, lm, cfg, batch_fn, metrics_path=None, start_step=0, state=No
     if lm.param_hash() != base_hash:
         raise NumericalError("frozen base model changed during training")
     return TrainResult(metrics, state)
+
+
+def make_dir(path, what):
+    """Make the directory ``path`` and its parents; ConfigError naming ``what`` if that fails."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make {what} {path}: {e}") from e
 
 
 def write_npz(path, arrays):

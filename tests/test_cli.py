@@ -9,7 +9,9 @@ import pytest
 from promptmoe import cli
 from promptmoe import config as cf
 from promptmoe import data as dt
+from promptmoe import pretrain as pt
 from promptmoe import runner as rn
+from promptmoe import sweep as sw
 from promptmoe.pretrain import PretrainConfig
 
 
@@ -144,6 +146,33 @@ def test_bad_checkpoint_path_is_exit_2(tiny_config, tmp_path, capsys):
                            "--cache-dir", str(tmp_path / "c")) == 2
             err = capsys.readouterr().err
             assert "config error" in err and str(path) in err
+
+
+def test_output_locations_that_cannot_be_made_exit_2_before_any_work(
+    tiny_config, tmp_path, capsys, monkeypatch
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = str(blocker / "out")  # under a regular file: NotADirectoryError
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the output location was made")
+
+    monkeypatch.setattr(pt, "pretrain_base", work)
+    monkeypatch.setattr(sw, "run_training", work)
+    cache = str(tmp_path / "cache")  # empty: a base would be pretrained
+    for argv in (
+        ("pretrain-base", "--cache-dir", bad),
+        ("pretrain-base", "--cache-dir", bad, "--force"),
+        ("train", "--seed", "1", "--cache-dir", cache, "--out", bad),
+        ("sweep", "--seed", "1", "--axis", "num_experts", "--values", "1,2",
+         "--cache-dir", cache, "--out", bad),
+        ("eval", "--checkpoint", str(tmp_path / "none.npz"), "--cache-dir", cache,
+         "--routing-log", bad),
+    ):
+        assert run_cli(*argv, "--config", tiny_config, "--quiet") == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot ") and bad in err, argv
 
 
 def test_train_then_eval_and_inspect(tiny_config, tmp_path, capsys):

@@ -6,6 +6,8 @@ import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -165,6 +167,22 @@ def test_metrics_records_and_file(lm, tmp_path):
     assert [l["step"] for l in lines] == [1, 2, 3, 4]
     # selection counts cover every routed example: grad_accum * batch per step
     assert sum(result.metrics[0]["expert_counts"]) == 8
+
+
+def test_a_fresh_run_starts_the_metrics_file_empty(lm, tmp_path):
+    batch_fn = dt.make_batch_fn(small_dataset(), batch_size=4, seed=3, max_seq=48)
+    path = tmp_path / "metrics.jsonl"
+    provider = make_provider(lm)
+    for _ in range(2):  # two fresh runs into one path: the second replaces the first
+        result = tr.train(provider, lm, tr.TrainConfig(steps=2, seed=1), batch_fn, str(path))
+
+    def steps():
+        return [json.loads(line)["step"] for line in path.read_text().splitlines()]
+
+    assert steps() == [1, 2]
+    longer = tr.TrainConfig(steps=3, seed=1)
+    tr.train(provider, lm, longer, batch_fn, str(path), start_step=2, state=result.state)
+    assert steps() == [1, 2, 3]  # a resumed run appends
 
 
 @pytest.mark.parametrize("probationary", [True, False])
@@ -393,6 +411,48 @@ def test_ctrl_c_reaps_the_worker(lm, monkeypatch):
     with deadline(30), pytest.raises(KeyboardInterrupt):
         tr.train(make_provider(lm), lm, tr.TrainConfig(steps=2, seed=1), batch_fn)
     assert_no_child_left()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def python_stdout(script):
+    """What ``script`` prints to stdout (a pipe) in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_buffered_stdout_is_written_once_around_the_worker():
+    out = python_stdout(
+        "from promptmoe import pretrain as pt\n"
+        "print('written before the fork', end='')\n"
+        "pt.pretrain_base(pt.PretrainConfig(hidden=16, layers=1, heads=2, max_seq=64,\n"
+        "                                   docs=60, steps=1, batch_size=4, warmup_steps=1))\n"
+    )
+    assert out == "written before the fork"
+
+
+def test_eval_and_set_up_leave_multiprocessing_unimported():
+    # only forking the part worker imports it, for about 1 MB of RSS
+    out = python_stdout(
+        "import sys\n"
+        "import promptmoe.cli\n"
+        "from promptmoe import data as dt, evaluate as ev, methods as mt\n"
+        "from promptmoe.linalg import RngStream\n"
+        "from promptmoe.model import LMConfig, ToyLM\n"
+        "lm = ToyLM.create(LMConfig(hidden=16, layers=1, heads=2, max_seq=64), RngStream(1))\n"
+        "lm.freeze()\n"
+        "cfg = mt.MethodConfig(kind='PT_MOE', prompt_length=4, num_experts=2, rank=2,\n"
+        "                      init_text='a b\\n')\n"
+        "provider = mt.build(cfg, lm, RngStream(2))\n"
+        "ev.eval_dataset(provider, lm, dt.gen_synthetic('copy_span', 4, 21), batch_size=4)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    assert out == "False\n"
 
 
 def spy_on_parts(monkeypatch, tmp_path):
